@@ -637,7 +637,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.core.config import DistribConfig
+    from repro.core.config import DistribConfig, SupervisionConfig
     from repro.distrib.worker import run_worker
 
     if args.chaos:
@@ -650,17 +650,19 @@ def _cmd_worker(args) -> int:
               f"(seed {plan.seed})", file=sys.stderr)
     config = DistribConfig(
         num_workers=args.workers,
-        lease_seconds=args.lease_seconds,
-        heartbeat_interval_seconds=args.heartbeat_interval,
         poll_interval_seconds=args.poll_interval,
         drain_timeout_seconds=args.drain_timeout,
         request_timeout_seconds=args.timeout,
         retries=args.retries,
     )
+    supervision = SupervisionConfig(
+        lease_seconds=args.lease_seconds,
+        heartbeat_interval_seconds=args.heartbeat_interval,
+    )
     print(f"worker pulling from {args.connect} "
           f"({config.num_workers} slot(s))", file=sys.stderr)
-    return run_worker(args.connect, config=config, worker_id=args.name,
-                      cache_dir=args.cache,
+    return run_worker(args.connect, config=config, supervision=supervision,
+                      worker_id=args.name, cache_dir=args.cache,
                       isolate_jobs=not args.no_isolate)
 
 

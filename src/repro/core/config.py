@@ -288,7 +288,9 @@ class SupervisionConfig:
     Governs the lease/heartbeat/reaper machinery that recovers hung
     workers *while the service runs* (not just at restart), and the
     poison-job quarantine that stops crash-looping jobs from eating the
-    worker pool forever (:mod:`repro.service.scheduler`).
+    worker pool forever (:mod:`repro.service.scheduler`).  The lease
+    knobs drive every claim loop (:mod:`repro.service.claims`): the
+    coordinator's local pool and each remote ``repro worker`` agent.
 
     Attributes:
         lease_seconds: How long one claim owns a job.  A worker renews
@@ -310,10 +312,10 @@ class SupervisionConfig:
             inspect and requeue via ``POST /v1/analyses/<id>/retry``.
         max_lease_renewal_seconds: Hard cap on how long one claim's
             heartbeat may keep renewing its lease.  Heartbeats run on
-            the scheduler thread, so they outlive a solve wedged
+            the claiming slot's thread, so they outlive a solve wedged
             inside the worker process; without a renewal bound such a
             claim would hold its lease forever.  For jobs with a
-            derivable wall timeout the scheduler already stops
+            derivable wall timeout the claim loop already stops
             renewing past the worst-case retry budget -- this cap
             additionally bounds jobs *without* one (``None``, the
             default, leaves those unbounded: the reaper then only
@@ -379,13 +381,8 @@ class DistribConfig:
 
     Attributes:
         num_workers: Worker slots (concurrent claims) in one agent.
-        lease_seconds: Lease the agent requests per claim; renewed from
-            a heartbeat thread while the job runs.  Must comfortably
-            exceed the claim round-trip, or the reaper will requeue
-            jobs that are in fact healthy.
-        heartbeat_interval_seconds: How often a busy slot renews its
-            lease; ``None`` derives ``lease_seconds / 3`` (two missed
-            or dropped beats still leave slack before expiry).
+            The agent's lease knobs are a :class:`SupervisionConfig`,
+            the same one the coordinator's local pool uses.
         poll_interval_seconds: How long an idle slot waits after an
             empty claim before polling the coordinator again.
         drain_timeout_seconds: On SIGINT/SIGTERM, how long the agent
@@ -410,8 +407,6 @@ class DistribConfig:
     """
 
     num_workers: int = 2
-    lease_seconds: float = 60.0
-    heartbeat_interval_seconds: float | None = None
     poll_interval_seconds: float = 0.5
     drain_timeout_seconds: float = 30.0
     request_timeout_seconds: float = 30.0
@@ -424,16 +419,6 @@ class DistribConfig:
         if self.num_workers < 1:
             raise ModelingError(
                 f"num_workers must be >= 1, got {self.num_workers}"
-            )
-        if self.lease_seconds <= 0:
-            raise ModelingError(
-                f"lease_seconds must be > 0, got {self.lease_seconds}"
-            )
-        if self.heartbeat_interval_seconds is not None \
-                and self.heartbeat_interval_seconds <= 0:
-            raise ModelingError(
-                f"heartbeat_interval_seconds must be > 0, got "
-                f"{self.heartbeat_interval_seconds}"
             )
         if self.poll_interval_seconds <= 0:
             raise ModelingError(
@@ -471,13 +456,6 @@ class DistribConfig:
                 f"max_claims_per_second must be > 0, got "
                 f"{self.max_claims_per_second}"
             )
-
-    def resolved_heartbeat_interval(self) -> float:
-        """The effective heartbeat period (defaults to a third of the
-        lease, so a lease survives two missed beats)."""
-        if self.heartbeat_interval_seconds is not None:
-            return self.heartbeat_interval_seconds
-        return self.lease_seconds / 3.0
 
 
 @dataclass

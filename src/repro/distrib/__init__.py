@@ -14,11 +14,10 @@ machine boundaries:
   heartbeat/settle/release) plus worker registration, with bounded
   deterministic retries and the ``distrib.*`` chaos sites.
 * :class:`~repro.distrib.worker.WorkerAgent` -- the pull-based agent
-  behind ``python -m repro worker``: N slots claiming jobs over HTTP,
-  executing each through the *existing* sweep executor (same cache,
-  retries, wall timeouts, cooperative cancel, and trace spans as the
-  local pool), renewing leases from a heartbeat thread, and draining
-  gracefully on SIGINT/SIGTERM.
+  behind ``python -m repro worker``: N slots running the local pool's
+  own claim loop (:class:`~repro.service.claims.ClaimRunner`) over
+  HTTP, so execution, lease renewal, cancel and drain behave exactly
+  as they do on the coordinator.
 
 Nothing here adds a second execution engine or a second state machine:
 a remote worker is just another consumer of

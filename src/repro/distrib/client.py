@@ -2,8 +2,10 @@
 
 :class:`FleetClient` extends :class:`~repro.service.client.ServiceClient`
 with the endpoints a remote worker agent needs -- claim, heartbeat,
-settle, release, and worker registration -- and gives every one of them
-bounded, deterministic retries, because *each is replay-safe by
+settle, release, and worker registration.  Its claim verbs are the
+:class:`~repro.service.claims.ClaimTransport` a remote agent's
+:class:`~repro.service.claims.ClaimRunner` runs over.  Every endpoint
+gets bounded, deterministic retries, because *each is replay-safe by
 construction*:
 
 * **claim** -- a claim request that died on the wire claimed nothing; a
@@ -59,6 +61,9 @@ class FleetClient(ServiceClient):
             retry_backoff_max_seconds=config.retry_backoff_max_seconds)
         self.worker_id = worker_id
         self.config = config
+        #: ``(analysis_id, key)`` of claims whose last heartbeat
+        #: carried ``cancel_requested``.
+        self._cancelling: set[tuple[str, str]] = set()
 
     def _fleet_request(self, site: str, key: str, method: str, path: str,
                        body: dict | None = None) -> tuple[int, dict, dict]:
@@ -117,15 +122,12 @@ class FleetClient(ServiceClient):
 
     # -- the fenced claim protocol --------------------------------------
 
-    def claim(self, lease_seconds: float | None = None
-              ) -> tuple[dict | None, float]:
+    def claim(self, lease_seconds: float | None = None) -> dict | None:
         """Claim the best queued job, or learn the queue is empty.
 
         Returns:
-            ``(claim, retry_after)``: the claim document (with its
-            ``claim_token`` fence and ``lease_expires_at``) or ``None``
-            on an empty queue, plus the coordinator's poll-back hint in
-            seconds.
+            The claim document (with its ``claim_token`` fence and
+            ``lease_expires_at``), or ``None`` on an empty queue.
 
         Raises:
             AdmissionError: The coordinator shed this claim (the fleet
@@ -138,29 +140,33 @@ class FleetClient(ServiceClient):
         status, doc, headers = self._fleet_request(
             "distrib.claim", self.worker_id, "POST", "/v1/claims", body)
         self._raise_for(status, doc, headers)
-        retry_after = float(
-            doc.get("retry_after_seconds")
-            or self.config.poll_interval_seconds)
-        return doc.get("claim"), retry_after
+        return doc.get("claim")
 
     def heartbeat(self, analysis_id: str, key: str, token: str,
-                  lease_seconds: float) -> dict:
+                  lease_seconds: float) -> str:
         """Renew a claim's lease; the response is also the cancel channel.
 
         Returns:
-            ``{"outcome": "lost"}`` when the fence refused the renewal
-            (the claim was reaped, settled, or superseded -- stop
-            beating); otherwise the coordinator's document carrying
-            ``outcome`` and ``cancel_requested``.
+            ``"lost"`` when the fence refused the renewal (the claim was
+            reaped, settled, or superseded -- stop beating); otherwise
+            the coordinator's outcome (``renewed`` or ``dropped``).  A
+            ``cancel_requested`` flag in the response is remembered for
+            :meth:`cancel_requested`.
         """
         status, doc, headers = self._fleet_request(
             "distrib.heartbeat", key, "POST",
             f"/v1/claims/{analysis_id}/{key}/heartbeat",
             {"token": token, "lease_seconds": float(lease_seconds)})
         if status == 409:
-            return {"outcome": "lost"}
+            return "lost"
         self._raise_for(status, doc, headers)
-        return doc
+        if doc.get("cancel_requested"):
+            self._cancelling.add((analysis_id, key))
+        return doc["outcome"]
+
+    def cancel_requested(self, analysis_id: str, key: str) -> bool:
+        """Whether a heartbeat response asked to cancel this job."""
+        return (analysis_id, key) in self._cancelling
 
     def settle(self, analysis_id: str, key: str, token: str, state: str,
                status: str | None = None, error: str | None = None,
@@ -174,6 +180,7 @@ class FleetClient(ServiceClient):
             already landed) -- the job is terminal either way, just not
             by our hand, so the agent moves on.
         """
+        self._cancelling.discard((analysis_id, key))
         body: dict = {"token": token, "state": state}
         if status is not None:
             body["status"] = status
@@ -193,6 +200,7 @@ class FleetClient(ServiceClient):
 
     def release(self, analysis_id: str, key: str, token: str) -> bool:
         """Hand an unstarted claim back (drain path); False if stale."""
+        self._cancelling.discard((analysis_id, key))
         status, doc, headers = self._fleet_request(
             "distrib.claim", key, "POST",
             f"/v1/claims/{analysis_id}/{key}/release", {"token": token})

@@ -79,7 +79,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.jobs import _FILE_KEYS, SweepSpec
 from repro.service.admission import AdmissionController
 from repro.service.results import ResultStore
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import Scheduler, settle_claim
 from repro.service.store import JobStore
 
 logger = logging.getLogger(__name__)
@@ -428,18 +428,15 @@ class AnalysisService:
         if spans and current_tracer().enabled:
             # Prefixed by job key so two workers' span ids never collide.
             current_tracer().merge(spans, prefix=f"{key[:12]}:")
-        try:
-            self.store.settle(analysis_id, key, state, status=status,
-                              error=error, token=token)
-        except ServiceError as exc:
-            metrics().counter("service.stale_settles").inc()
-            return 409, {"error": str(exc), "settled": False}, {}
+        if not settle_claim(self.store, analysis_id, key, state,
+                            status=status, error=error, token=token):
+            return 409, {
+                "error": f"job {key[:12]} of analysis {analysis_id[:12]} "
+                         "is not running under this claim; refusing to "
+                         "settle it",
+                "settled": False,
+            }, {}
         metrics().counter("service.remote_settles").inc()
-        metrics().counter({
-            "done": "service.jobs_done",
-            "failed": "service.jobs_failed",
-            "cancelled": "service.jobs_cancelled",
-        }[state]).inc()
         metrics().gauge("service.queue_depth").set(self.store.depth())
         return 200, {"settled": True, "state": state}, {}
 

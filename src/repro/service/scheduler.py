@@ -1,77 +1,35 @@
-"""Scheduler: worker threads draining the durable queue, supervised.
+"""Scheduler: the coordinator's local pool and its supervision.
 
-Each worker thread loops ``claim -> run -> settle``: it atomically
-claims the best queued job from the :class:`~repro.service.store`,
-runs it through the *existing* sweep executor
-(:func:`repro.runner.executor.run_sweep` on a single-job campaign --
-inheriting its wall timeouts, bounded retries with backoff, chaos
-hooks, process isolation, and the content-addressed result cache), and
-commits the terminal state back to the store.  The service adds no
-second execution engine: a job computed here is byte-for-byte the job
-``repro sweep`` would have computed, which is what the bit-identical
-acceptance test pins down.
+The local pool is one consumer of the store's claim path: it runs the
+shared claim -> execute -> settle loop
+(:class:`~repro.service.claims.ClaimRunner`) over the in-process
+:class:`~repro.service.store.JobStore`.  Leases, heartbeats, the
+renewal horizon, fencing, cancel, deadlines and drain live there, and
+behave the same for remote ``repro worker`` agents.  With
+``ServiceConfig.isolate_jobs`` (the default) each job runs in a worker
+*process*, so a segfaulting or wedged solve costs one job, not the
+service.
 
-Isolation: with ``ServiceConfig.isolate_jobs`` (the default) each job
-runs in a worker *process* via the executor's pooled path, so a
-segfaulting or wedged solve costs one job, not the service; ``False``
-runs jobs on the scheduler thread (faster startup, used by tests).
+What the scheduler itself owns is the coordinator's side of
+supervision, which covers local and remote claims alike:
 
-Self-healing (``ServiceConfig.supervision``):
-
-* **Leases + heartbeats.**  Every claim is time-bounded
-  (``lease_seconds``); a heartbeat thread renews the lease while the
-  sweep executes.  A **reaper** thread requeues jobs whose lease
-  lapsed -- a worker hung inside a solve (the ``worker.hang`` chaos
-  site) loses the job within one lease period, with the same
-  exactly-once audit transitions as startup recovery.  Every claim
-  carries a **fencing token**; heartbeats and settles present it, so
-  if the hung worker eventually wakes its late settle is refused --
-  even when the job is already ``running`` again under a *new* claim
-  -- and the scheduler discards the stale result (counted as
-  ``service.stale_settles``).  The stale worker's heartbeat loop
-  likewise stops the moment a renewal reports the lease lost, so it
-  can never keep a re-claimed job's lease alive.  Because heartbeats
-  run on the scheduler thread (they outlive a wedged worker process),
-  renewal is additionally bounded by the job's worst-case wall budget
-  (attempts x wall timeout + backoff, when a wall timeout is
-  derivable) and by ``max_lease_renewal_seconds`` -- past that
-  horizon the lease is allowed to lapse and the reaper recovers the
-  job.  Jobs with no wall timeout and no configured cap renew
-  indefinitely; for those, the reaper covers dropped heartbeats and
-  dead processes, not in-process wedges.
-* **Poison-job quarantine.**  ``attempts`` counts store-level claims
-  and survives crashes and reaps, so a job that keeps killing its
-  worker converges to the terminal ``quarantined`` state once
-  ``max_job_attempts`` is spent, instead of crash-looping the pool.
-* **Deadlines + cooperative cancel.**  A job's end-to-end deadline
-  clamps the wall timeout handed to the executor; queued jobs past
-  their deadline fail fast with ``deadline_exceeded``.  A ``DELETE``
-  on a running analysis raises the store's ``cancel_requested`` flag,
-  which the executor polls between dispatches via ``cancel_check`` --
-  the job settles ``cancelled`` within one poll interval.
-
-Crash semantics: between ``claim`` and ``settle`` the job is
-``running`` in the store.  If the process dies anywhere in that window
--- the chaos sites ``service.crash_claimed`` and
-``service.crash_settling`` inject exactly that -- restart recovery
-(:meth:`~repro.service.store.JobStore.recover`) requeues it, and the
-re-run either recomputes (crash before the result was cached) or hits
-the cache (crash after), so the job reaches a terminal state exactly
-once with an unchanged answer.
-
-Drain-on-stop reuses the executor's graceful-shutdown machinery: the
-scheduler's stop event is passed to ``run_sweep`` as its ``stop_event``,
-so a stop request lets the in-flight attempt finish, skips further
-retries, and leaves anything unsettled for restart recovery.
-
-Fleet position: this local pool is just *one consumer* of the store's
-claim path.  It registers in the worker table under the ``local``
-identity (capacity = ``num_workers``) and stamps its claims like any
-remote ``repro worker`` agent; with
-``ServiceConfig.local_workers=False`` (``serve --no-local-workers``)
-no worker threads start at all and the service runs as a pure
-coordinator -- submissions, supervision, and the reaper stay up, and
-execution belongs entirely to remote agents claiming over HTTP.
+* **Recovery.**  On start, jobs left ``running`` by a dead process are
+  requeued (:meth:`~repro.service.store.JobStore.recover`); the re-run
+  either recomputes or hits the result cache, so each job reaches a
+  terminal state exactly once.  The ``service.crash_claimed`` and
+  ``service.crash_settling`` chaos sites kill the process inside the
+  claim window to exercise exactly that.
+* **The reaper.**  A thread requeues jobs whose lease lapsed -- a hung
+  or dead worker loses its job within one lease period -- with the same
+  audited transitions as recovery.
+* **Queue supervision.**  :meth:`Scheduler.supervise_queue` fails
+  queued jobs past their deadline and quarantines jobs that spent
+  ``max_job_attempts`` claims; every claim, local or over HTTP, runs it
+  first.
+* **Registration.**  The pool registers in the worker table as
+  ``local`` (capacity = ``num_workers``).  With
+  ``ServiceConfig.local_workers=False`` (``serve --no-local-workers``)
+  no slot starts and the service is a pure coordinator.
 """
 
 from __future__ import annotations
@@ -80,26 +38,88 @@ import logging
 import os
 import socket
 import threading
-import time
 
 from repro.core.config import RunnerConfig, ServiceConfig
 from repro.exceptions import ServiceError
 from repro.obs.metrics import metrics
 from repro.resilience.faults import maybe_fire
 from repro.runner.cache import ResultCache
-from repro.runner.executor import run_sweep
-from repro.runner.jobs import Job
-from repro.service.store import (
-    InjectedServiceCrash,
-    JobStore,
-    service_crash,
-)
+from repro.service.claims import ClaimRunner
+from repro.service.store import JobStore, service_crash
 
 logger = logging.getLogger(__name__)
 
 
+def settle_claim(store: JobStore, analysis_id: str, key: str, state: str,
+                 status: str | None = None, error: str | None = None,
+                 token: str | None = None) -> bool:
+    """Fenced settle plus the settle counters, for every settle path.
+
+    Both the local pool and the HTTP settle route end here, so a job
+    moves the same ``/metricz`` counters whoever ran it.  A settle the
+    fence refuses -- the claim was reaped, and perhaps re-claimed, while
+    its worker ran -- is counted as ``service.stale_settles``; the
+    re-run settles the identical cached result.
+
+    Returns:
+        Whether the settle landed.
+    """
+    try:
+        store.settle(analysis_id, key, state, status=status, error=error,
+                     token=token)
+    except ServiceError:
+        metrics().counter("service.stale_settles").inc()
+        return False
+    if status == "deadline_exceeded":
+        metrics().counter("service.jobs.deadline_exceeded").inc()
+    else:
+        metrics().counter({
+            "done": "service.jobs_done",
+            "failed": "service.jobs_failed",
+            "cancelled": "service.jobs_cancelled",
+        }[state]).inc()
+    return True
+
+
+class _StoreTransport:
+    """The claim verbs against the in-process store (the local pool)."""
+
+    def __init__(self, scheduler: Scheduler):
+        self.scheduler = scheduler
+        self.store = scheduler.store
+
+    def claim(self, lease_seconds: float) -> dict | None:
+        self.scheduler.supervise_queue()
+        claimed = self.store.claim(lease_seconds=lease_seconds,
+                                   worker_id=self.scheduler.worker_id)
+        if claimed is not None:
+            service_crash("service.crash_claimed", key=claimed["key"])
+            metrics().gauge("service.queue_depth").set(self.store.depth())
+        return claimed
+
+    def heartbeat(self, analysis_id: str, key: str, token: str,
+                  lease_seconds: float) -> str:
+        return self.store.heartbeat(analysis_id, key, lease_seconds, token)
+
+    def cancel_requested(self, analysis_id: str, key: str) -> bool:
+        return self.store.cancel_requested(analysis_id, key)
+
+    def settle(self, analysis_id: str, key: str, token: str, state: str,
+               status: str | None = None, error: str | None = None,
+               result: dict | None = None,
+               spans: list[dict] | None = None) -> bool:
+        # The result is already in the shared cache and the spans in
+        # the ambient tracer: the executor ran in this process.
+        service_crash("service.crash_settling", key=key)
+        return settle_claim(self.store, analysis_id, key, state,
+                            status=status, error=error, token=token)
+
+    def release(self, analysis_id: str, key: str, token: str) -> bool:
+        return self.store.release(analysis_id, key, token=token)
+
+
 class Scheduler:
-    """Worker threads turning queued jobs into settled results."""
+    """The local claim pool plus recovery, the reaper and supervision."""
 
     def __init__(self, store: JobStore, cache: ResultCache | None,
                  config: ServiceConfig,
@@ -109,16 +129,26 @@ class Scheduler:
         self.config = config
         self.runner_config = runner_config or RunnerConfig(
             num_workers=2 if config.isolate_jobs else 1)
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._reaper: threading.Thread | None = None
         #: The local pool's identity in the store's worker table.
         self.worker_id = "local"
+        self.runner = ClaimRunner(
+            _StoreTransport(self),
+            supervision=config.supervision,
+            runner_config=self.runner_config,
+            cache=cache,
+            isolate_jobs=config.isolate_jobs,
+            poll_interval_seconds=config.poll_interval_seconds)
+        self._reaper: threading.Thread | None = None
 
     @property
     def stop_event(self) -> threading.Event:
         """The drain signal (shared with in-flight ``run_sweep`` calls)."""
-        return self._stop
+        return self.runner.stop_event
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Local claims processed, by outcome (see :class:`ClaimRunner`)."""
+        return self.runner.counts
 
     def start(self) -> None:
         """Recover orphaned jobs, then start the workers and reaper.
@@ -134,18 +164,13 @@ class Scheduler:
                 "recovered %d job(s) left running by a previous process",
                 recovered)
             metrics().counter("service.jobs.recovered").inc(recovered)
-        self._supervise_queue()
-        self._stop.clear()
+        self.supervise_queue()
+        self.stop_event.clear()
         if self.config.local_workers:
             self.store.register_worker(
                 self.worker_id, kind="local", host=socket.gethostname(),
                 pid=os.getpid(), capacity=self.config.num_workers)
-            for index in range(self.config.num_workers):
-                thread = threading.Thread(
-                    target=self._worker_loop, args=(index,),
-                    name=f"repro-service-worker-{index}", daemon=True)
-                self._threads.append(thread)
-                thread.start()
+            self.runner.start(self.config.num_workers)
         self._reaper = threading.Thread(
             target=self._reaper_loop, name="repro-service-reaper",
             daemon=True)
@@ -155,19 +180,13 @@ class Scheduler:
         """Request a stop and join the workers.
 
         With ``drain`` (the default) in-flight jobs get
-        ``drain_timeout_seconds`` to settle; without it the join is
-        immediate.  Either way anything still ``running`` afterwards is
-        requeued by the next start's recovery, never lost.
+        ``drain_timeout_seconds`` in all to settle; without it the join
+        is immediate.  Either way anything still ``running`` afterwards
+        is requeued by the reaper or the next start's recovery, never
+        lost.
         """
-        self._stop.set()
-        timeout = self.config.drain_timeout_seconds if drain else 0.0
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads = [t for t in self._threads if t.is_alive()]
-        if self._threads:
-            logger.warning(
-                "%d worker(s) still busy after drain timeout; their jobs "
-                "will be recovered on restart", len(self._threads))
+        self.runner.stop(
+            self.config.drain_timeout_seconds if drain else 0.0)
         if self._reaper is not None:
             self._reaper.join(timeout=1.0)
             self._reaper = None
@@ -178,14 +197,9 @@ class Scheduler:
         """Drain the queue on the calling thread (tests, one-shot mode).
 
         Returns:
-            How many jobs were settled.
+            How many jobs were settled (or released).
         """
-        settled = 0
-        while not self._stop.is_set():
-            if not self._run_one():
-                break
-            settled += 1
-        return settled
+        return self.runner.run_until_idle()
 
     def reap_once(self) -> int:
         """One reaper pass: requeue expired leases, then re-supervise.
@@ -208,12 +222,12 @@ class Scheduler:
                 "reaped %d expired lease(s): %d requeued, %d cancelled",
                 len(reaped), requeued, len(reaped) - requeued)
             metrics().counter("service.jobs.reaped").inc(len(reaped))
-        self._supervise_queue()
+        self.supervise_queue()
         return len(reaped)
 
     def _reaper_loop(self) -> None:
         interval = self.config.supervision.resolved_reap_interval()
-        while not self._stop.wait(interval):
+        while not self.stop_event.wait(interval):
             try:
                 self.reap_once()
             except Exception:
@@ -222,14 +236,10 @@ class Scheduler:
     def supervise_queue(self) -> None:
         """Deadline + quarantine sweep over the queued set.
 
-        Public because every consumer of the claim path runs it before
-        claiming -- the local pool in :meth:`_run_one`, and the HTTP
-        claim endpoint before handing work to a remote agent.
+        Every consumer of the claim path runs it before claiming -- the
+        local pool's transport, and the HTTP claim endpoint before
+        handing work to a remote agent.
         """
-        self._supervise_queue()
-
-    def _supervise_queue(self) -> None:
-        """Deadline + quarantine sweep over the queued set."""
         expired = self.store.expire_deadlines()
         if expired:
             logger.warning("failed %d queued job(s) past their deadline",
@@ -245,201 +255,3 @@ class Scheduler:
                     job["key"][:12], job["attempts"])
             metrics().counter(
                 "service.jobs.quarantined").inc(len(quarantined))
-
-    def _worker_loop(self, index: int) -> None:
-        while not self._stop.is_set():
-            try:
-                ran = self._run_one()
-            except InjectedServiceCrash:
-                # In-process chaos: this worker thread "dies".  The
-                # claimed job stays running in the store, exactly as
-                # after a real crash, and restart recovery (or the
-                # reaper, once its lease lapses) requeues it.
-                logger.warning("worker %d killed by injected crash", index)
-                return
-            if not ran:
-                self._stop.wait(self.config.poll_interval_seconds)
-
-    def _run_one(self) -> bool:
-        """Claim and settle one job; False when the queue is empty."""
-        self._supervise_queue()
-        supervision = self.config.supervision
-        claimed = self.store.claim(lease_seconds=supervision.lease_seconds,
-                                   worker_id=self.worker_id)
-        if claimed is None:
-            return False
-        service_crash("service.crash_claimed", key=claimed["key"])
-        analysis_id, key = claimed["analysis_id"], claimed["key"]
-        token = claimed["claim_token"]
-        job = Job(payload=claimed["payload"])
-        metrics().gauge("service.queue_depth").set(self.store.depth())
-
-        wall_timeout = None
-        if claimed["deadline_at"] is not None:
-            remaining = claimed["deadline_at"] - time.time()
-            if remaining <= 0:
-                # Claimed at the buzzer: fail fast rather than compute
-                # an answer nobody is waiting for.
-                self._settle_guarded(
-                    analysis_id, key, "failed", status="deadline_exceeded",
-                    error="deadline_exceeded: end-to-end deadline passed "
-                          "before the job could start", token=token)
-                metrics().counter("service.jobs.deadline_exceeded").inc()
-                return True
-            default_wall = self.runner_config.wall_timeout_for(
-                job.params.get("time_limit"))
-            wall_timeout = remaining if default_wall is None \
-                else min(default_wall, remaining)
-
-        heartbeat_stop = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(analysis_id, key, token, heartbeat_stop,
-                  self._renewal_horizon(job, wall_timeout)),
-            name="repro-service-heartbeat", daemon=True)
-        heartbeat.start()
-
-        def cancel_check() -> bool:
-            return self.store.cancel_requested(analysis_id, key)
-
-        try:
-            outcome = run_sweep(
-                [job],
-                num_workers=2 if self.config.isolate_jobs else 1,
-                cache=self.cache,
-                config=self.runner_config,
-                wall_timeout=wall_timeout,
-                handle_signals=False,
-                stop_event=self._stop,
-                cancel_check=cancel_check,
-                # Store-level claims carried over: attempt numbers (and
-                # the chaos plan's `attempts` matching) stay continuous
-                # across crashes, restarts, and lease reaps.
-                attempt_base=claimed["attempts"] - 1,
-            )
-        except InjectedServiceCrash:
-            raise
-        except Exception as exc:
-            # The executor settles task failures internally, so an
-            # exception here is a harness bug or a poisoned payload;
-            # fail the job rather than wedge it in 'running'.
-            logger.exception("job %s failed outside the executor",
-                             key[:12])
-            self._settle_guarded(analysis_id, key, "failed", status="error",
-                                 error=f"{type(exc).__name__}: {exc}",
-                                 token=token)
-            metrics().counter("service.jobs_failed").inc()
-            return True
-        finally:
-            # A real process death takes the heartbeat thread with it;
-            # the in-process InjectedServiceCrash must behave the same,
-            # so the lease stops being renewed on every exit path.
-            heartbeat_stop.set()
-            heartbeat.join(timeout=1.0)
-        if outcome.interrupted and not outcome.outcomes:
-            # Drain request landed before the attempt even started:
-            # hand the claim back so a graceful stop leaves nothing in
-            # 'running'.
-            self.store.release(analysis_id, key, token=token)
-            return True
-        settled = outcome.outcomes[0]
-        service_crash("service.crash_settling", key=key)
-        if settled.status == "cancelled":
-            self._settle_guarded(analysis_id, key, "cancelled",
-                                 status="cancelled", error=settled.error,
-                                 token=token)
-            metrics().counter("service.jobs_cancelled").inc()
-        elif settled.ok:
-            self._settle_guarded(analysis_id, key, "done",
-                                 status=settled.status, token=token)
-            metrics().counter("service.jobs_done").inc()
-        else:
-            self._settle_guarded(analysis_id, key, "failed",
-                                 status=settled.status, error=settled.error,
-                                 token=token)
-            metrics().counter("service.jobs_failed").inc()
-        return True
-
-    def _renewal_horizon(self, job: Job,
-                         wall_timeout: float | None) -> float | None:
-        """Latest time this claim's heartbeat may renew the lease.
-
-        The heartbeat thread lives on the scheduler, so it survives a
-        solve wedged inside the worker process -- renewing forever
-        would mean a wedged claim is never reaped.  When the job has a
-        derivable wall budget (an explicit deadline clamp or a
-        ``time_limit``-derived timeout), a healthy executor must have
-        returned within the worst case of every attempt plus backoff;
-        past that, the claim is presumed wedged and the lease is left
-        to lapse.  ``max_lease_renewal_seconds`` caps the horizon
-        regardless; with neither bound the horizon is ``None``
-        (renew indefinitely -- documented reaper-coverage gap).
-        """
-        supervision = self.config.supervision
-        wall = wall_timeout if wall_timeout is not None else \
-            self.runner_config.wall_timeout_for(job.params.get("time_limit"))
-        budget = supervision.max_lease_renewal_seconds
-        if wall is not None:
-            cfg = self.runner_config
-            worst = ((cfg.retries + 1) * wall
-                     + cfg.retries * cfg.backoff_max_seconds
-                     + supervision.lease_seconds)
-            budget = worst if budget is None else min(budget, worst)
-        return None if budget is None else time.time() + budget
-
-    def _heartbeat_loop(self, analysis_id: str, key: str, token: str,
-                        stop: threading.Event,
-                        renew_until: float | None) -> None:
-        supervision = self.config.supervision
-        interval = supervision.resolved_heartbeat_interval()
-        while not stop.wait(interval):
-            if renew_until is not None and time.time() >= renew_until:
-                logger.warning(
-                    "job %s exceeded its worst-case wall budget; "
-                    "letting the lease lapse so the reaper recovers it",
-                    key[:12])
-                return
-            try:
-                outcome = self.store.heartbeat(
-                    analysis_id, key, supervision.lease_seconds, token)
-            except Exception:
-                logger.exception("heartbeat for job %s failed", key[:12])
-                continue
-            if outcome == "lost":
-                # This claim no longer owns the job (reaped, settled,
-                # or re-claimed by another worker).  Stop beating: the
-                # fencing token already guarantees these renewals can
-                # never touch the new claim's lease, and continuing
-                # would only log noise until the sweep returns.
-                logger.warning(
-                    "lease for job %s lost (reaped or settled); "
-                    "stopping heartbeats", key[:12])
-                return
-            if outcome == "dropped":
-                # Chaos swallowed the beat; the lease keeps aging but
-                # the claim is still ours -- retry at the next tick.
-                logger.debug("heartbeat for job %s dropped", key[:12])
-
-    def _settle_guarded(self, analysis_id: str, key: str, state: str,
-                        status: str | None = None,
-                        error: str | None = None,
-                        token: str | None = None) -> None:
-        """Settle with this claim's fencing token, discarding the
-        stale-worker race.
-
-        A job reaped (or recovered) out from under a still-running
-        worker is requeued -- when that worker finally produces a
-        result, the store refuses the fenced settle, *even if the job
-        has since been re-claimed and is running again* (the token no
-        longer matches).  That is the *correct* outcome: the re-run
-        hits the content-addressed cache and settles bit-identically,
-        so the stale result is redundant, not lost.
-        """
-        try:
-            self.store.settle(analysis_id, key, state, status=status,
-                              error=error, token=token)
-        except ServiceError:
-            logger.warning(
-                "job %s was requeued while this worker ran it; "
-                "discarding the stale settle", key[:12])
-            metrics().counter("service.stale_settles").inc()

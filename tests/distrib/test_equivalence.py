@@ -156,8 +156,8 @@ class TestWorkerKill:
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             second = WorkerAgent(
-                url, config=DistribConfig(num_workers=1,
-                                          lease_seconds=30.0),
+                url, config=DistribConfig(num_workers=1),
+                supervision=SupervisionConfig(lease_seconds=30.0),
                 worker_id="survivor", isolate_jobs=False)
             assert second.run_until_idle() == 1
             results = client.result(accepted["id"])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core.config import DistribConfig, ServiceConfig
+from repro.core.config import DistribConfig, ServiceConfig, SupervisionConfig
 from repro.distrib.worker import WorkerAgent
 from repro.resilience.faults import FaultPlan, FaultPoint, injected
 from repro.service.api import AnalysisService, make_server
@@ -36,8 +36,12 @@ def make_agent(coordinator, isolate_jobs=False, **overrides):
                     retry_backoff_seconds=0.01,
                     retry_backoff_max_seconds=0.05)
     defaults.update(overrides)
+    lease = {knob: defaults.pop(knob) for knob in
+             ("lease_seconds", "heartbeat_interval_seconds")
+             if knob in defaults}
     return WorkerAgent(coordinator.base_url,
                        config=DistribConfig(**defaults),
+                       supervision=SupervisionConfig(**lease),
                        worker_id="agent-under-test",
                        isolate_jobs=isolate_jobs)
 

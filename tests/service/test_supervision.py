@@ -151,7 +151,7 @@ class TestHeartbeatFencing:
         scheduler = Scheduler(store, cache, config)
         stop = threading.Event()
         thread = threading.Thread(
-            target=scheduler._heartbeat_loop,
+            target=scheduler.runner._heartbeat_loop,
             args=(stale["analysis_id"], stale["key"],
                   stale["claim_token"], stop, None), daemon=True)
         thread.start()
@@ -174,7 +174,7 @@ class TestHeartbeatFencing:
         scheduler = Scheduler(store, cache, config)
         stop = threading.Event()
         thread = threading.Thread(
-            target=scheduler._heartbeat_loop,
+            target=scheduler.runner._heartbeat_loop,
             args=(claimed["analysis_id"], claimed["key"],
                   claimed["claim_token"], stop,
                   time.time()), daemon=True)  # horizon already passed
@@ -192,13 +192,13 @@ class TestHeartbeatFencing:
         job = Job({"task": "t", "instance": {}, "params": {}})
         scheduler = Scheduler(store, cache, supervised_config())
         # No wall timeout derivable, no cap: renew indefinitely.
-        assert scheduler._renewal_horizon(job, None) is None
+        assert scheduler.runner._renewal_horizon(job, None) is None
         # An explicit wall budget bounds the horizon.
-        assert scheduler._renewal_horizon(job, 10.0) is not None
+        assert scheduler.runner._renewal_horizon(job, 10.0) is not None
         # The config cap bounds it even without a wall timeout.
         capped = Scheduler(store, cache, supervised_config(
             max_lease_renewal_seconds=5.0))
-        horizon = capped._renewal_horizon(job, None)
+        horizon = capped.runner._renewal_horizon(job, None)
         assert horizon is not None
         assert horizon <= time.time() + 5.5
 
