@@ -1,11 +1,11 @@
-"""Scale benchmark: serial vs parallel Monte Carlo availability on B4.
+"""Scale benchmark: in-process vs pooled Monte Carlo availability on B4.
 
-Runs the same >= 500-sample availability campaign twice -- once through
-the serial per-sample loop in :mod:`repro.failures.montecarlo`, once
-through the vectorized + chunked-parallel engine in
-:mod:`repro.failures.availability` at four workers -- and asserts the
-two estimates are *bit-identical* (the engine's core contract) before
-comparing wall clocks.
+Runs the same >= 500-sample availability campaign twice -- once
+in-process (1 worker) through
+:func:`repro.failures.montecarlo.estimate_availability`, once through
+the engine in :mod:`repro.failures.availability` at four workers -- and
+asserts the two estimates are *bit-identical* (the engine's core
+contract) before comparing wall clocks.
 
 The speedup floor is only asserted on machines with enough cores to
 host the worker pool; the identity checks always run, so a single-core
@@ -113,7 +113,7 @@ def test_parallel_engine_matches_serial_and_scales(benchmark):
         f"{parallel.distinct_scenarios} distinct)",
         ["engine", "workers", "seconds", "speedup"],
         [
-            ["serial loop", 1, f"{serial_s:.2f}", "1.0x"],
+            ["in-process (1 worker)", 1, f"{serial_s:.2f}", "1.0x"],
             ["vectorized + pool", WORKERS, f"{parallel_s:.2f}",
              f"{speedup:.1f}x"],
         ],

@@ -152,9 +152,9 @@ class MonteCarloConfig:
     Attributes:
         samples: Scenario draws per sampling round (and the total when
             adaptive stopping is off).
-        seed: RNG seed; the vectorized sampler consumes the exact same
-            stream as the serial ``sample_scenario`` loop, so serial and
-            parallel runs see identical scenario sequences.
+        seed: RNG seed.  It alone fixes the scenario sequence: the
+            sampler draws the same stream at any worker count (and the
+            same stream as the scalar reference ``sample_scenario``).
         degradation_threshold: Threshold of the exceedance statistic
             (same units as demands).
         num_workers: Worker processes for chunk evaluation; ``None``

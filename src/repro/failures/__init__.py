@@ -9,12 +9,12 @@
   of Appendix B.
 * :mod:`repro.failures.enumeration` -- exhaustive up-to-k failure
   analysis, the baseline every evaluation figure compares against.
-* :mod:`repro.failures.montecarlo` -- sampled availability estimation,
-  the expected-case complement to Raha's worst case.
-* :mod:`repro.failures.availability` -- the parallel, vectorized
-  Monte Carlo availability engine (same statistics, production scale:
-  batched sampling, up-front dedup, chunked worker evaluation, and a
-  persistent delivered-flow cache).
+* :mod:`repro.failures.availability` and
+  :mod:`repro.failures.montecarlo` -- the Monte Carlo availability
+  engine, the expected-case complement to Raha's worst case: batched
+  sampling, up-front dedup, chunked worker evaluation and a persistent
+  delivered-flow cache, with ``estimate_availability`` as its
+  in-process front end.
 * :mod:`repro.failures.tracegen` -- synthetic link up/down event traces
   with known ground-truth probabilities (stand-in for production data).
 """

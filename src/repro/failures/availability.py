@@ -1,17 +1,19 @@
-"""Parallel, vectorized Monte Carlo availability estimation.
+"""The Monte Carlo availability engine.
 
-:func:`repro.failures.montecarlo.estimate_availability` is a serial
-loop: per-link Python RNG draws, an in-loop dedup dict, one process.
-This module is the production-scale engine behind the same statistics:
+Every availability estimate -- the CLI verb, the service task, the
+benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
+(its in-process front end) -- runs through
+:func:`estimate_availability_parallel`:
 
 * **Vectorized sampling** -- all ``samples x links`` Bernoulli states
   come from *one* RNG matrix call (SRLG group draws included), then
   rows are canonicalized and deduplicated up front so each distinct
   scenario is solved exactly once.  The sampler consumes the exact
-  same RNG stream as the serial ``sample_scenario`` loop (NumPy's
+  same RNG stream as the scalar reference
+  :func:`~repro.failures.montecarlo.sample_scenario` (NumPy's
   ``Generator.random(shape)`` fills rows with the doubles successive
-  scalar ``uniform()`` calls would return), so serial and vectorized
-  runs see bit-identical scenario sequences for a given seed.
+  scalar ``uniform()`` calls would return), so both see bit-identical
+  scenario sequences for a given seed.
 * **Parallel evaluation** -- distinct scenarios are partitioned into
   fixed-size chunks dispatched through the sweep runner
   (:func:`repro.runner.executor.run_sweep`): per-chunk wall timeouts,
@@ -41,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from contextlib import nullcontext
 from statistics import NormalDist
 
 import numpy as np
@@ -54,7 +57,7 @@ from repro.network.topology import Topology, lag_key
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.paths.pathset import PathSet
-from repro.resilience.faults import FaultPlan, install_plan, maybe_fire
+from repro.resilience.faults import FaultPlan, injected, maybe_fire
 from repro.runner.cache import ResultCache, job_key
 from repro.runner.executor import run_sweep
 from repro.runner.jobs import Job
@@ -88,16 +91,16 @@ def _instance_from_docs(instance: dict):
 
 
 class ScenarioSampler:
-    """Vectorized scenario sampling, stream-compatible with the serial loop.
+    """Vectorized scenario sampling, stream-compatible with the scalar draw.
 
-    The serial :func:`~repro.failures.montecarlo.sample_scenario`
+    The scalar :func:`~repro.failures.montecarlo.sample_scenario`
     consumes, per sample, one uniform per SRLG carrying a group
     probability (in ``topology.srlgs`` order) followed by one uniform
     per independent *failable* link (in LAG/link order; links with
     ``can_fail=False`` short-circuit and consume nothing).  This class
     precomputes that column layout once, so ``sample(rng, n)`` is a
     single ``rng.random((n, columns))`` call whose rows reproduce the
-    serial draw stream bit for bit.
+    scalar draw stream bit for bit.
     """
 
     def __init__(self, topology: Topology):
@@ -141,7 +144,7 @@ class ScenarioSampler:
                     indep_col.append(-1)
                     continue
                 if not can_fail:
-                    # The serial loop short-circuits before drawing for
+                    # The scalar draw short-circuits before drawing for
                     # a protected link, so no column here either.
                     indep_col.append(-1)
                     continue
@@ -212,27 +215,43 @@ def scenario_cache_key(instance_key: str, doc: list) -> str:
     })
 
 
+class _ChunkFault(RuntimeError):
+    """A chaos-injected ``availability.chunk`` failure."""
+
+
+def _resolve_chunk(make_resolver, docs: list,
+                   chunk_index: int | None = None) -> list[float]:
+    """Delivered flow for each scenario document, in order.
+
+    ``make_resolver`` returns the :class:`ScenarioResolver` to use; it
+    is called only after the chaos check, so a faulted chunk never pays
+    for a compile.  With a ``chunk_index``, the ``availability.chunk``
+    chaos site is checked first and raises :class:`_ChunkFault`; it is
+    keyed by chunk index only (no attempt), so a plan targeting it
+    fails *every* retry and the fallback takes over.  The fallback
+    passes no index: it is the path that must not fail.
+    """
+    if chunk_index is not None and maybe_fire(
+            "availability.chunk", key=f"chunk:{chunk_index}"):
+        raise _ChunkFault("chaos: injected availability chunk failure")
+    resolver = make_resolver()
+    return [float(resolver.delivered(scenario_from_doc(doc)))
+            for doc in docs]
+
+
 def availability_chunk_task(payload: dict) -> dict:
     """Worker task: delivered flow for one chunk of distinct scenarios.
 
     Rebuilds the instance from its serialized documents, compiles one
     :class:`ScenarioResolver`, and resolves every scenario in the
-    chunk.  The ``availability.chunk`` chaos site fails the whole
-    chunk; it is keyed by chunk index only (no attempt), so a plan
-    targeting it fails *every* retry and the parent's in-process
-    fallback takes over -- exercising graceful degradation end to end.
+    chunk (see :func:`_resolve_chunk` for the chaos site).
     """
     params = payload["params"]
-    if maybe_fire("availability.chunk",
-                  key=f"chunk:{params['chunk_index']}"):
-        raise RuntimeError(
-            "chaos: injected availability chunk failure")
-    topology, demands, paths = _instance_from_docs(payload["instance"])
-    resolver = ScenarioResolver(topology, demands, paths)
-    delivered = [
-        float(resolver.delivered(scenario_from_doc(doc)))
-        for doc in params["scenarios"]
-    ]
+    delivered = _resolve_chunk(
+        lambda: ScenarioResolver(*_instance_from_docs(payload["instance"])),
+        params["scenarios"],
+        params["chunk_index"],
+    )
     return {"chunk_index": params["chunk_index"], "delivered": delivered}
 
 
@@ -317,9 +336,7 @@ class _ChunkEvaluator:
     def _fallback(self, docs: list) -> list[float]:
         self.chunk_fallbacks += 1
         metrics().counter("availability.chunk_fallbacks").inc()
-        resolver = self._parent_resolver()
-        return [float(resolver.delivered(scenario_from_doc(doc)))
-                for doc in docs]
+        return _resolve_chunk(self._parent_resolver, docs)
 
     def evaluate(self, chunks: list[list], start_index: int
                  ) -> list[list[float]]:
@@ -332,18 +349,16 @@ class _ChunkEvaluator:
 
     def _evaluate_local(self, chunks, start_index):
         out = []
-        resolver = self._parent_resolver()
         for offset, docs in enumerate(chunks):
-            index = start_index + offset
-            if maybe_fire("availability.chunk", key=f"chunk:{index}"):
+            try:
+                out.append(_resolve_chunk(self._parent_resolver, docs,
+                                          start_index + offset))
+            except _ChunkFault:
                 # In-process there is no worker to lose: the fault
                 # degrades straight to the fallback path (counted, so
                 # chaos tests can assert it fired) with identical
                 # values, because the resolver is deterministic.
                 out.append(self._fallback(docs))
-                continue
-            out.append([float(resolver.delivered(scenario_from_doc(doc)))
-                        for doc in docs])
         return out
 
     def _evaluate_pool(self, chunks, start_index):
@@ -406,24 +421,24 @@ def estimate_availability_parallel(
 ) -> AvailabilityEstimate:
     """Monte Carlo availability, vectorized and parallel.
 
-    Statistically identical -- bit for bit, per seed -- to the serial
-    :func:`~repro.failures.montecarlo.estimate_availability`: the same
-    scenario sequence, the same per-scenario delivered flows, the same
-    reduction formulas.  What changes is the cost model: sampling is
-    one matrix call per round, each distinct scenario is solved exactly
-    once, solves fan out across worker processes, and a persistent
-    cache carries delivered flows between runs.
+    Sampling is one matrix call per round, each distinct scenario is
+    solved exactly once, solves fan out across worker processes, and a
+    persistent cache carries delivered flows between runs.  None of
+    that moves a number: the estimate is bit-identical, per seed, at
+    any worker count, cold or warm cache, with or without chaos-injected
+    chunk failures.
 
     Args:
         topology: The WAN (all failable links need probabilities).
         demands: Offered traffic.
         paths: Configured primary/backup paths.
-        config: Engine knobs (:class:`MonteCarloConfig`); defaults
-            match the serial estimator.
+        config: Engine knobs (:class:`MonteCarloConfig`).
         cache: Persistent delivered-flow cache (or a directory path
             for one); ``None`` disables memoization across runs.
-        chaos: A fault plan for self-testing the degradation paths
-            (shipped into workers like the sweep runner does).
+        chaos: A fault plan for self-testing the degradation paths,
+            active for this call only (shipped into workers like the
+            sweep runner does); ``None`` leaves the ambient plan, if
+            any, in force.
         runner_config: Retry/backoff/timeout knobs for chunk dispatch.
 
     Returns:
@@ -437,22 +452,12 @@ def estimate_availability_parallel(
         cache = ResultCache(cache)
     tracer = current_tracer()
 
-    # Install an explicit chaos plan as the ambient one for the run so
+    # An explicit chaos plan becomes the ambient one for the run, so
     # both the in-process sites here and run_sweep's worker shipping
-    # see it; a plan already installed via injected() works unchanged.
-    if chaos is not None:
-        plan = chaos if isinstance(chaos, FaultPlan) \
-            else FaultPlan.from_dict(chaos)
-        previous_plan = install_plan(plan)
-        plan_installed = True
-    else:
-        plan_installed = False
-    try:
+    # see it.
+    with injected(chaos) if chaos is not None else nullcontext():
         return _estimate(topology, demands, paths, config, cache,
                          runner_config, workers, tracer)
-    finally:
-        if plan_installed:
-            install_plan(previous_plan)
 
 
 def _estimate(topology, demands, paths, config, cache, runner_config,

@@ -1,10 +1,10 @@
-"""Monte Carlo availability estimation.
+"""Monte Carlo availability: the estimate, its reference pieces, the resolver.
 
 Raha answers the *worst case* question; operators also track the
 *expected* picture ("we aim to provide > 4-9's availability", Section 2.2).
-This module samples failure scenarios from the per-link probabilities
-(respecting SRLG fate-sharing), simulates each with the same TE code path
-the rest of the repository uses, and estimates:
+A Monte Carlo campaign samples failure scenarios from the per-link
+probabilities (respecting SRLG fate-sharing), simulates each with the
+same TE code path the rest of the repository uses, and estimates:
 
 * the expected degradation,
 * the probability that degradation exceeds an operator threshold,
@@ -12,28 +12,34 @@ the rest of the repository uses, and estimates:
 
 The worst sampled scenario is also reported -- a useful sanity check
 against the analyzer's exact worst case (sampling should never beat it).
+
+The campaign itself runs in one engine,
+:func:`repro.failures.availability.estimate_availability_parallel`.
+This module holds what that engine builds on: the
+:class:`AvailabilityEstimate` result, the :class:`ScenarioResolver`
+that re-solves the failed-network LP per scenario, the scalar
+:func:`sample_scenario` the vectorized sampler is tested against, and
+:func:`estimate_availability`, the engine's in-process front end.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-import logging
-
+from repro.core.config import MonteCarloConfig
 from repro.exceptions import TopologyError
 from repro.failures.scenario import FailureScenario, active_paths
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
 from repro.obs.metrics import metrics
-from repro.obs.trace import current_tracer
 from repro.paths.pathset import PathSet
 from repro.resilience.faults import maybe_fire
 from repro.solver import LinExpr, Model, Var
 from repro.te.base import effective_capacities, validate_te_inputs
-from repro.te.total_flow import TotalFlowTE
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +60,7 @@ class AvailabilityEstimate:
         distinct_scenarios: Distinct canonical scenarios among the
             samples (each solved exactly once).
         cache_hits: Scenarios answered from a persistent delivered-flow
-            cache (parallel engine only; 0 for the serial estimator).
+            cache (0 when the campaign runs without one).
         fresh_solves: Scenarios that required an LP solve this run.
         chunk_fallbacks: Worker chunks that failed (chaos, crash, ...)
             and were re-evaluated in the parent process.
@@ -92,6 +98,11 @@ def sample_scenario(topology: Topology, rng: np.random.Generator
 
     SRLGs with a group probability are drawn as one Bernoulli event for
     the whole group; remaining links are independent Bernoullis.
+
+    This is the scalar reference for
+    :class:`~repro.failures.availability.ScenarioSampler`, which draws
+    whole batches from the same RNG stream; the tests compare the two
+    draw for draw.
     """
     failed = []
     grouped: dict[tuple, int] = {}
@@ -279,6 +290,10 @@ def estimate_availability(
 ) -> AvailabilityEstimate:
     """Monte Carlo estimate of expected degradation and availability.
 
+    The in-process, uncached front end of
+    :func:`repro.failures.availability.estimate_availability_parallel`:
+    one worker, no persistent delivered-flow cache, a fixed sample count.
+
     Args:
         topology: The WAN (all failable links need probabilities).
         demands: Offered traffic.
@@ -290,47 +305,12 @@ def estimate_availability(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    with current_tracer().span("montecarlo", samples=samples) as span:
-        healthy = TotalFlowTE(primary_only=True).solve(
-            topology, demands, paths
-        )
-        healthy_flow = healthy.total_flow
+    # Imported here: repro.failures.availability imports this module.
+    from repro.failures.availability import estimate_availability_parallel
 
-        resolver = ScenarioResolver(topology, demands, paths)
-        degradations: list[float] = []
-        worst = -float("inf")
-        worst_scenario = FailureScenario()
-        cache: dict[FailureScenario, float] = {}
-        for _ in range(samples):
-            scenario = sample_scenario(topology, rng)
-            if scenario in cache:
-                degradation = cache[scenario]
-            else:
-                degradation = healthy_flow - resolver.delivered(scenario)
-                cache[scenario] = degradation
-            degradations.append(degradation)
-            if degradation > worst:
-                worst = degradation
-                worst_scenario = scenario
-        span.set(distinct_scenarios=len(cache))
-
-    array = np.asarray(degradations)
-    availability = (
-        float(np.mean((healthy_flow - array) / healthy_flow))
-        if healthy_flow > 0 else 1.0
-    )
-    return AvailabilityEstimate(
-        expected_degradation=float(array.mean()),
-        availability=availability,
-        exceedance_probability=float(
-            np.mean(array > degradation_threshold)
-        ),
-        worst_sampled=float(array.max()),
-        worst_scenario=worst_scenario,
-        samples=samples,
-        healthy_flow=healthy_flow,
-        degradations=[float(d) for d in degradations],
-        distinct_scenarios=len(cache),
-        fresh_solves=len(cache),
+    return estimate_availability_parallel(
+        topology, demands, paths,
+        MonteCarloConfig(samples=samples, seed=seed,
+                         degradation_threshold=degradation_threshold,
+                         num_workers=1),
     )

@@ -358,9 +358,11 @@ class InnerLP:
     def resolve_at(self, result: SolveResult, time_limit: float | None = None):
         """Re-solve the inner LP with outer variables fixed at a solution.
 
-        The LP structure is cached across calls (Monte Carlo availability
-        estimation and sweep verification re-solve the same inner problem
-        hundreds of times); each call only patches the right-hand sides.
+        The LP is built on the first call and cached; later calls (other
+        candidate solutions of the same host model) only patch the
+        right-hand sides.  Monte Carlo scenario re-solves do not come
+        through here: they use
+        :class:`~repro.failures.montecarlo.ScenarioResolver`.
 
         Args:
             result: A solution of the host model.

@@ -1,9 +1,10 @@
 """Tests for the parallel, vectorized Monte Carlo availability engine.
 
 The engine's contract is *bit-identical* statistics: the vectorized
-sampler replays the serial RNG stream, the fixed chunk partition makes
-the merge independent of ``--jobs``, and the persistent cache and chaos
-fallbacks change wall-clock behavior only -- never a single float.
+sampler replays the scalar ``sample_scenario`` RNG stream, the fixed
+chunk partition makes the merge independent of ``--jobs``, and the
+persistent cache and chaos fallbacks change wall-clock behavior only --
+never a single float.
 """
 
 import dataclasses
@@ -13,18 +14,24 @@ import pytest
 
 from repro import PathSet, Srlg
 from repro.core.config import MonteCarloConfig
-from repro.exceptions import ModelingError
+from repro.exceptions import ModelingError, TopologyError
 from repro.failures.availability import (
     ScenarioSampler,
     availability_task,
     estimate_availability_parallel,
     scenario_doc,
 )
-from repro.failures.montecarlo import estimate_availability, sample_scenario
+from repro.failures.montecarlo import ScenarioResolver, sample_scenario
 from repro.network.builder import from_edges
 from repro.network.srlg import attach_srlg
 from repro.network.topology import Link
-from repro.resilience.faults import FaultPlan, FaultPoint
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultPoint,
+    active_plan,
+    injected,
+)
+from repro.te.total_flow import TotalFlowTE
 
 
 @pytest.fixture
@@ -86,22 +93,48 @@ class TestScenarioSampler:
                 sampler.scenario_for(row)
 
 
+def reference_estimate(topology, demands, paths, samples, seed,
+                       threshold):
+    """A plain serial Monte Carlo loop, independent of the engine.
+
+    Scalar draws, a dedup dict, a resolver compiled from the original
+    (unserialized) instance, and the textbook reductions.
+    """
+    rng = np.random.default_rng(seed)
+    healthy = TotalFlowTE(primary_only=True).solve(
+        topology, demands, paths).total_flow
+    resolver = ScenarioResolver(topology, demands, paths)
+    solved: dict = {}
+    degradations = []
+    worst, worst_scenario = -float("inf"), None
+    for _ in range(samples):
+        scenario = sample_scenario(topology, rng)
+        if scenario not in solved:
+            solved[scenario] = healthy - resolver.delivered(scenario)
+        degradation = solved[scenario]
+        degradations.append(degradation)
+        if degradation > worst:  # first argmax
+            worst, worst_scenario = degradation, scenario
+    array = np.asarray(degradations)
+    return {
+        "degradations": [float(d) for d in degradations],
+        "availability": float(np.mean((healthy - array) / healthy)),
+        "exceedance_probability": float(np.mean(array > threshold)),
+        "worst_sampled": float(array.max()),
+        "worst_scenario": worst_scenario,
+        "distinct_scenarios": len(solved),
+    }
+
+
 class TestBitIdentity:
     def test_matches_serial_estimate(self, grouped, paths):
-        serial = estimate_availability(
-            grouped, DEMANDS, paths, samples=80, seed=11,
-            degradation_threshold=1.0,
-        )
-        parallel = estimate_availability_parallel(
-            grouped, DEMANDS, paths, config())
-        assert parallel.degradations == serial.degradations
-        assert parallel.expected_degradation == serial.expected_degradation
-        assert parallel.availability == serial.availability
-        assert parallel.exceedance_probability == \
-            serial.exceedance_probability
-        assert parallel.worst_sampled == serial.worst_sampled
-        assert parallel.worst_scenario == serial.worst_scenario
-        assert parallel.distinct_scenarios == serial.distinct_scenarios
+        reference = reference_estimate(grouped, DEMANDS, paths,
+                                       samples=80, seed=11, threshold=1.0)
+        for workers in (1, 2):
+            estimate = estimate_availability_parallel(
+                grouped, DEMANDS, paths, config(num_workers=workers))
+            got = {name: getattr(estimate, name) for name in reference}
+            assert got == reference, f"num_workers={workers}"
 
     def test_jobs_1_and_4_are_bit_identical(self, grouped, paths):
         one = estimate_availability_parallel(
@@ -177,6 +210,33 @@ class TestChaos:
             chaos=self.PLAN)
         assert chaotic.chunk_fallbacks > 0
         assert chaotic.degradations == clean.degradations
+
+    def test_explicit_plan_is_scoped_to_the_call(self, grouped, paths):
+        outer = FaultPlan(seed=1, points=[])
+        with injected(outer):
+            estimate_availability_parallel(
+                grouped, DEMANDS, paths, config(), chaos=self.PLAN)
+            assert active_plan() is outer
+
+    def test_explicit_plan_is_restored_when_the_run_raises(self, paths):
+        # A failable link with no probability: the sampler raises
+        # inside the plan's scope.
+        topology = from_edges([
+            ("a", "b", 10), ("b", "d", 10), ("a", "c", 6), ("c", "d", 6),
+        ])
+        outer = FaultPlan(seed=1, points=[])
+        with injected(outer):
+            with pytest.raises(TopologyError):
+                estimate_availability_parallel(
+                    topology, DEMANDS, paths, config(), chaos=self.PLAN)
+            assert active_plan() is outer
+
+    def test_ambient_plan_applies_without_chaos(self, grouped, paths):
+        with injected(self.PLAN):
+            estimate = estimate_availability_parallel(
+                grouped, DEMANDS, paths, config(), chaos=None)
+            assert active_plan() is self.PLAN
+        assert estimate.chunk_fallbacks > 0
 
     def test_plan_accepts_dict_form(self, grouped, paths):
         chaotic = estimate_availability_parallel(
