@@ -12,7 +12,7 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.11", "networkx>=3.0"],
+    python_requires=">=3.11",
+    install_requires=["numpy>=1.24", "scipy>=1.17", "networkx>=3.0"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

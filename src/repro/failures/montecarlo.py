@@ -32,14 +32,14 @@ import numpy as np
 
 from repro.core.config import MonteCarloConfig
 from repro.exceptions import TopologyError
-from repro.failures.scenario import FailureScenario, active_paths
+from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
 from repro.obs.metrics import metrics
 from repro.paths.pathset import PathSet
 from repro.resilience.faults import maybe_fire
-from repro.solver import LinExpr, Model, Var
-from repro.te.base import effective_capacities, validate_te_inputs
+from repro.solver import LinExpr, Model
+from repro.te.base import validate_te_inputs
 
 logger = logging.getLogger(__name__)
 
@@ -147,9 +147,19 @@ class ScenarioResolver:
     over *all* configured paths once, then expresses each scenario purely
     as bound patches via :meth:`repro.solver.model.Model.resolve_with`:
 
-    * a LAG's capacity row gets the scenario's residual capacity;
+    * a LAG that lost a link gets its capacity row set to the residual
+      capacity;
     * a path disallowed by the fail-over policy (Eq. 5) gets its flow
       variable's upper bound pinned to zero.
+
+    The patches come from arrays built once here: a flat table of every
+    physical link and its LAG, a path x LAG incidence, and each demand's
+    run of path columns.  A scenario is then its failed links' rows in
+    that table, the LAGs it takes fully down (Eq. 3), the paths those
+    cross (Eq. 4), and an exclusive running count of down paths within
+    each demand (Eq. 5).  Residual capacities keep the left-to-right sum
+    over surviving links, so the numbers are bit-identical to
+    :meth:`FailureScenario.residual_capacities`.
 
     The optimum is identical to ``simulate_failed_network`` with the
     default :class:`TotalFlowTE(primary_only=False)` solver: an allowed
@@ -167,25 +177,47 @@ class ScenarioResolver:
         self.topology = topology
         self.demands = dict(demands)
         self.paths = paths
-        caps = effective_capacities(topology, None)
+
+        # Flat link table: link k is link i of LAG _link_lag[k], found by
+        # _link_index[(lag key, i)].
+        lags = topology.lags
+        lag_pos = {lag.key: pos for pos, lag in enumerate(lags)}
+        self._lag_keys = [lag.key for lag in lags]
+        self._link_caps = [[link.capacity for link in lag.links] for lag in lags]
+        self._link_index: dict[tuple[LagKey, int], int] = {}
+        link_lag: list[int] = []
+        for pos, lag in enumerate(lags):
+            for i in range(lag.num_links):
+                self._link_index[(lag.key, i)] = len(link_lag)
+                link_lag.append(pos)
+        self._link_lag = np.array(link_lag, dtype=np.intp)
+        self._lag_size = np.array([lag.num_links for lag in lags], dtype=np.intp)
 
         model = Model("scenario-resolver")
-        self._path_vars: dict[tuple, Var] = {}
-        per_lag: dict[LagKey, list[int]] = defaultdict(list)
+        per_lag: dict[int, list[int]] = defaultdict(list)
+        crossings: list[tuple[int, int]] = []
+        # Per path column: the first column of its demand's run, and how
+        # many of the paths before it in that run must be down for it to
+        # carry traffic (0 for primaries, r for the r-th backup).
+        seg_start: list[int] = []
+        needed: list[int] = []
         dem_cols: list[int] = []
         dem_indptr: list[int] = [0]
         dem_rhs: list[float] = []
         for pair, volume in self.demands.items():
             dp = paths[pair]
-            for path in dp.paths:
+            first = model.num_vars
+            for j, path in enumerate(dp.paths):
                 var = model.add_var(
                     ub=max(volume, 0.0),
                     name=f"f[{pair}][{'-'.join(path)}]",
                 )
-                self._path_vars[(pair, path)] = var
                 dem_cols.append(var.index)
+                seg_start.append(first)
+                needed.append(max(j - dp.num_primary + 1, 0))
                 for lag in topology.lags_on_path(path):
-                    per_lag[lag.key].append(var.index)
+                    per_lag[lag_pos[lag.key]].append(var.index)
+                    crossings.append((var.index, lag_pos[lag.key]))
             if len(dem_cols) > dem_indptr[-1]:
                 dem_indptr.append(len(dem_cols))
                 dem_rhs.append(volume)
@@ -193,33 +225,69 @@ class ScenarioResolver:
             model.add_constrs_batch(
                 dem_indptr, dem_cols, rhs=dem_rhs, name="dem"
             )
-        self._lag_rows: dict[LagKey, int] = {}
+        # Capacity row of each LAG a path crosses (-1: none does).  Its
+        # rhs is the same left-to-right sum residual capacities use, so
+        # a LAG that lost no link needs no patch.
+        self._lag_row = np.full(len(lags), -1, dtype=np.intp)
         if per_lag:
             lag_cols: list[int] = []
             lag_indptr: list[int] = [0]
-            lag_rhs: list[float] = []
-            keys = []
-            for key, cols_on_lag in per_lag.items():
+            for cols_on_lag in per_lag.values():
                 lag_cols.extend(cols_on_lag)
                 lag_indptr.append(len(lag_cols))
-                lag_rhs.append(caps[key])
-                keys.append(key)
             rows = model.add_constrs_batch(
-                lag_indptr, lag_cols, rhs=lag_rhs, name="cap"
+                lag_indptr, lag_cols,
+                rhs=[sum(self._link_caps[pos]) for pos in per_lag],
+                name="cap",
             )
-            self._lag_rows = dict(zip(keys, rows))
+            self._lag_row[list(per_lag)] = rows
+        self._incidence = np.zeros((model.num_vars, len(lags)), dtype=bool)
+        if crossings:
+            self._incidence[tuple(np.array(crossings).T)] = True
+        self._seg_start = np.array(seg_start, dtype=np.intp)
+        self._needed = np.array(needed, dtype=np.intp)
+        self._backups = dict.fromkeys(np.flatnonzero(self._needed).tolist(), 0.0)
         model.set_objective(
             LinExpr.from_arrays(
-                np.fromiter(
-                    (v.index for v in self._path_vars.values()),
-                    dtype=np.intp,
-                    count=len(self._path_vars),
-                ),
-                np.ones(len(self._path_vars)),
+                np.arange(model.num_vars, dtype=np.intp),
+                np.ones(model.num_vars),
             ),
             sense="max",
         )
         self._model = model
+
+    def _patches(self, scenario: FailureScenario) -> tuple[dict, dict]:
+        """``scenario`` as ``resolve_with`` overrides: ``{row: residual
+        capacity}`` and ``{column: 0.0}`` for disallowed paths."""
+        failed = scenario.failed_links
+        if not failed:
+            return {}, self._backups
+        try:
+            links = np.fromiter(
+                (self._link_index[link] for link in failed),
+                dtype=np.intp, count=len(failed),
+            )
+        except KeyError:
+            scenario.validate_for(self.topology)
+            raise TopologyError(
+                f"{scenario!r} fails a link not in the topology"
+            ) from None
+        lost = np.bincount(self._link_lag[links], minlength=self._lag_size.size)
+        rhs_overrides = {}
+        for pos in np.flatnonzero((lost > 0) & (self._lag_row >= 0)).tolist():
+            key = self._lag_keys[pos]
+            rhs_overrides[int(self._lag_row[pos])] = sum(
+                cap for i, cap in enumerate(self._link_caps[pos])
+                if (key, i) not in failed
+            )
+        down = lost == self._lag_size
+        if not down.any():
+            return rhs_overrides, self._backups
+        path_down = self._incidence[:, down].any(axis=1).astype(np.intp)
+        down_before = np.cumsum(path_down) - path_down
+        down_before -= down_before[self._seg_start]
+        blocked = np.flatnonzero(down_before < self._needed)
+        return rhs_overrides, dict.fromkeys(blocked.tolist(), 0.0)
 
     def delivered(self, scenario: FailureScenario) -> float:
         """Total traffic routed under ``scenario``.
@@ -231,19 +299,11 @@ class ScenarioResolver:
         an all-paths-down answer would skew every availability statistic
         downstream.  (A genuinely infeasible scenario delivers 0.0 from
         the fallback too, which is the correct value, not a guess.)
+
+        Raises:
+            TopologyError: ``scenario`` fails a link the topology lacks.
         """
-        capacities = scenario.residual_capacities(self.topology)
-        down = scenario.down_lags(self.topology)
-        bound_overrides: dict[Var, float] = {}
-        for pair in self.demands:
-            dp = self.paths[pair]
-            allowed = set(active_paths(self.topology, dp, down))
-            for path in dp.paths:
-                if path not in allowed:
-                    bound_overrides[self._path_vars[(pair, path)]] = 0.0
-        rhs_overrides = {
-            row: capacities[key] for key, row in self._lag_rows.items()
-        }
+        rhs_overrides, bound_overrides = self._patches(scenario)
         failure = None
         if maybe_fire("resolver.resolve", key=repr(scenario)):
             failure = "chaos-injected resolver failure"

@@ -1,4 +1,4 @@
-"""Linear and mixed-integer modeling layer over scipy's HiGHS solvers.
+"""Linear and mixed-integer modeling layer over scipy's HiGHS binding.
 
 The paper implements Raha on top of MetaOpt, which in turn drives Gurobi.
 Neither is available offline, so this package provides the substrate both
@@ -7,9 +7,10 @@ of them supply:
 * :mod:`repro.solver.expr` -- variables, linear expressions and constraints
   with operator overloading (``2 * x + y <= 5``).
 * :mod:`repro.solver.model` -- a :class:`Model` that compiles expressions
-  into sparse matrices and dispatches to :func:`scipy.optimize.milp` (for
-  mixed-integer programs) or :func:`scipy.optimize.linprog` (for pure LPs,
-  where dual values are also recovered).
+  into sparse matrices and hands its own two-sided rows, column bounds and
+  integrality straight to HiGHS (the binding scipy ships, called directly
+  rather than through scipy's ``linprog`` / ``milp`` front ends); pure LPs
+  also return one dual per row.
 * :mod:`repro.solver.linearize` -- standard MILP linearization gadgets:
   indicator variables for threshold tests on integer expressions, and
   McCormick products of a binary and a bounded continuous variable.  These

@@ -267,9 +267,9 @@ class RangeConstraint(Constraint):
     """A two-sided row ``lo <= expr <= hi`` occupying a single matrix row.
 
     Range rows are how HiGHS natively models interval constraints; one
-    row with both bounds is cheaper than the ``<=``/``>=`` pair and --
-    after the dual-recovery fix in ``Model._recover_duals`` -- reports a
-    single combined marginal for shifting the whole interval.
+    row with both bounds is cheaper than the ``<=``/``>=`` pair.  The
+    model hands HiGHS the row as it is, so its dual is HiGHS's one row
+    dual: the marginal of shifting the whole interval.
     Build via :meth:`repro.solver.model.Model.add_range_constr`.
     """
 

@@ -2,8 +2,14 @@
 
 The model accumulates variables and constraints built with the expression
 algebra from :mod:`repro.solver.expr`, compiles them into sparse matrices,
-and dispatches to :func:`scipy.optimize.milp` (when any variable is
-integral) or :func:`scipy.optimize.linprog` (pure LPs; duals recovered).
+and hands them to HiGHS as they are: one private function,
+:func:`_run_highs`, passes the model's own ``row_lb <= A x <= row_ub`` rows
+(a CSC copy of the compiled matrix), its column bounds and integrality to
+a fresh instance of the HiGHS binding scipy ships.  LPs and MILPs take the
+same path; an LP also returns one dual per row.  The options are the ones
+scipy's ``linprog`` / ``milp`` front ends would pass, so results match
+those front ends without their per-call input validation and row
+re-stacking.
 
 This is the stand-in for Gurobi in the paper's stack.  It intentionally
 exposes the two solver features the paper's evaluation leans on:
@@ -18,9 +24,10 @@ The hot path is array-backed: constraint coefficients live in COO
 plus one pending Python-list segment fed by scalar :meth:`Model.add_constr`
 calls), and row/variable bounds live in amortized-growth buffers.
 Compilation concatenates the segments straight into a CSR matrix -- no
-per-term Python loop -- and the result is cached on the model until the
-next mutation, so repeated :meth:`Model.solve` /
-:meth:`Model.resolve_with` calls skip matrix assembly entirely.
+per-term Python loop -- and the result (and, from the first solve, its
+CSC copy) is cached on the model until the next mutation, so repeated
+:meth:`Model.solve` / :meth:`Model.resolve_with` calls skip matrix
+assembly entirely.
 """
 
 from __future__ import annotations
@@ -31,7 +38,12 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
+
+# The HiGHS binding scipy ships.  It is private to scipy, so this is the
+# one module that imports it; tests/solver/test_highs_parity.py fails
+# loudly if a scipy upgrade moves it.
+from scipy.optimize._highspy import _core as _highs
 
 from repro.exceptions import ModelingError
 from repro.obs.trace import current_tracer
@@ -39,13 +51,26 @@ from repro.resilience.faults import maybe_fire
 from repro.solver.expr import Constraint, LinExpr, RangeConstraint, Var
 from repro.solver.result import SolveResult, SolveStats, SolveStatus
 
-_SCIPY_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.TIME_LIMIT,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
+_MODEL_STATUS = _highs.HighsModelStatus
+# HiGHS model status -> SolveStatus; anything not listed is an ERROR.
+# kModelError (HiGHS rejected the model) reads as infeasible, as it did
+# through scipy's front ends.
+_STATUS = {
+    _MODEL_STATUS.kOptimal: SolveStatus.OPTIMAL,
+    _MODEL_STATUS.kTimeLimit: SolveStatus.TIME_LIMIT,
+    _MODEL_STATUS.kIterationLimit: SolveStatus.TIME_LIMIT,
+    _MODEL_STATUS.kInfeasible: SolveStatus.INFEASIBLE,
+    _MODEL_STATUS.kModelError: SolveStatus.INFEASIBLE,
+    _MODEL_STATUS.kUnbounded: SolveStatus.UNBOUNDED,
 }
+# Statuses under which a MILP may still hold an incumbent.
+_MIP_STOPPED = (
+    _MODEL_STATUS.kTimeLimit,
+    _MODEL_STATUS.kIterationLimit,
+    _MODEL_STATUS.kSolutionLimit,
+)
+_VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 
 # Row sense codes stored in the model's uint8 sense buffer.
 _LE, _GE, _EQ, _RANGE = 0, 1, 2, 3
@@ -104,6 +129,107 @@ class _Compiled(NamedTuple):
     max_abs_rhs: float
 
 
+class _HighsOutcome(NamedTuple):
+    """What :func:`_run_highs` read back from HiGHS."""
+
+    status: SolveStatus
+    message: str
+    x: np.ndarray | None
+    objective: float | None
+    row_dual: np.ndarray | None
+    mip_gap: float | None
+
+
+def _run_highs(
+    a_csc, cost, row_lb, row_ub, var_lb, var_ub, integrality, time_limit,
+    mip_rel_gap,
+) -> _HighsOutcome:
+    """Minimize ``cost @ x`` s.t. ``row_lb <= A x <= row_ub`` and
+    ``var_lb <= x <= var_ub`` with one fresh HiGHS instance.
+
+    ``integrality`` (per-column 0/1) makes it a MILP; ``None`` makes it
+    an LP, which also returns the row duals.  The options are the ones
+    scipy's ``linprog`` / ``milp`` hand HiGHS, so both see the same
+    problem and settle on the same vertex.
+    This is the only place model arrays reach HiGHS, so it is where NaN
+    (which every ``lb > ub`` check lets through) is refused.
+    """
+    for what, arr in (
+        ("objective coefficient", cost),
+        ("column lower bound", var_lb),
+        ("column upper bound", var_ub),
+        ("row lower bound", row_lb),
+        ("row upper bound", row_ub),
+    ):
+        nan = np.isnan(arr)
+        if nan.any():
+            raise ModelingError(
+                f"{what} {int(np.flatnonzero(nan)[0])} is NaN"
+            )
+    options: list[tuple[str, object]] = [("log_to_console", False)]
+    if integrality is None:
+        options += [
+            ("presolve", "on"),
+            ("output_flag", False),
+            ("simplex_strategy", _DUAL_SIMPLEX),
+        ]
+    if time_limit is not None:
+        options.append(("time_limit", float(time_limit)))
+    if mip_rel_gap is not None:
+        options.append(("mip_rel_gap", float(mip_rel_gap)))
+
+    m, n = a_csc.shape
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = cost
+    lp.col_lower_ = var_lb
+    lp.col_upper_ = var_ub
+    lp.row_lower_ = row_lb
+    lp.row_upper_ = row_ub
+    matrix = lp.a_matrix_
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.start_ = a_csc.indptr
+    matrix.index_ = a_csc.indices
+    matrix.value_ = a_csc.data
+    if integrality is not None:
+        lp.integrality_ = [_VAR_TYPES[i] for i in integrality.tolist()]
+
+    highs = _highs._Highs()
+    error = _highs.HighsStatus.kError
+    for name, value in options:
+        if highs.setOptionValue(name, value) == error:
+            raise ModelingError(f"HiGHS rejected option {name}={value!r}")
+    if highs.passModel(lp) == error:
+        status, ran = _MODEL_STATUS.kModelError, False
+    else:
+        ran = highs.run() != error
+        status = highs.getModelStatus()
+    outcome = _STATUS.get(status, SolveStatus.ERROR)
+    message = f"HiGHS: {highs.modelStatusToString(status)}"
+    info = highs.getInfo() if ran else None
+    if not ran:
+        solved = False
+    elif integrality is not None and status in _MIP_STOPPED:
+        # A stopped branch-and-bound holds an incumbent iff its
+        # objective is finite.
+        solved = info.objective_function_value != _highs.kHighsInf
+    else:
+        solved = status == _MODEL_STATUS.kOptimal
+    if not solved:
+        return _HighsOutcome(outcome, message, None, None, None, None)
+    solution = highs.getSolution()
+    is_lp = integrality is None
+    return _HighsOutcome(
+        outcome, message, np.array(solution.col_value),
+        info.objective_function_value,
+        np.array(solution.row_dual, dtype=np.float64) if is_lp else None,
+        None if is_lp else float(info.mip_gap),
+    )
+
+
 class Model:
     """A linear or mixed-integer optimization model.
 
@@ -144,6 +270,9 @@ class Model:
         self._num_batch_rows = 0
 
         self._compiled: _Compiled | None = None
+        # CSC copy of the compiled matrix, the layout HiGHS takes; built
+        # at the first solve after each compile.
+        self._csc: sparse.csc_matrix | None = None
         self._materialized: list[Constraint] | None = None
         self._created = time.monotonic()
         self._build_seconds = 0.0
@@ -203,6 +332,7 @@ class Model:
     # -- building ---------------------------------------------------------
     def _invalidate(self) -> None:
         self._compiled = None
+        self._csc = None
         self._materialized = None
 
     def add_var(
@@ -695,14 +825,9 @@ class Model:
                 extract scenarios from it.  No-op for pure LPs.
         """
         compiled, cached = self._ensure_compiled()
-        if self.is_mip and not relax:
-            return self._solve_milp(
-                compiled, time_limit, mip_rel_gap,
-                incremental=False, compile_cached=cached,
-            )
-        return self._solve_lp(
-            compiled, time_limit, incremental=False, compile_cached=cached,
-            relaxed=self.is_mip,
+        return self._solve(
+            compiled, time_limit, mip_rel_gap, incremental=False,
+            compile_cached=cached, relaxed=relax and self.is_mip,
         )
 
     def resolve_with(
@@ -805,13 +930,9 @@ class Model:
         patched = compiled._replace(
             row_lb=row_lb, row_ub=row_ub, var_lb=var_lb, var_ub=var_ub
         )
-        if self.is_mip:
-            return self._solve_milp(
-                patched, time_limit, mip_rel_gap,
-                incremental=True, compile_cached=True,
-            )
-        return self._solve_lp(
-            patched, time_limit, incremental=True, compile_cached=True
+        return self._solve(
+            patched, time_limit, mip_rel_gap, incremental=True,
+            compile_cached=True,
         )
 
     def _make_stats(
@@ -839,17 +960,21 @@ class Model:
             compile_cached=compile_cached,
         )
 
-    def _solve_milp(
-        self, compiled, time_limit, mip_rel_gap, incremental, compile_cached
+    def _solve(
+        self, compiled, time_limit, mip_rel_gap, incremental, compile_cached,
+        relaxed: bool = False,
     ) -> SolveResult:
-        sign = -1.0 if self._sense == "max" else 1.0
-        options: dict = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        if mip_rel_gap is not None:
-            options["mip_rel_gap"] = float(mip_rel_gap)
+        """Solve ``compiled`` as a MILP when the model has integer columns
+        (unless ``relaxed``), else as an LP with duals."""
+        integer = self.is_mip and not relaxed
+        if integer:
+            backend, span_name, span_attrs = "milp", "milp_solve", {}
+        else:
+            backend = "linprog-relaxation" if relaxed else "linprog"
+            span_name, span_attrs = "lp_solve", {"relaxed": relaxed}
+            mip_rel_gap = None
 
-        if maybe_fire("solver.time_limit", key=self.name):
+        if integer and maybe_fire("solver.time_limit", key=self.name):
             # Chaos: HiGHS expired without finding any feasible point.
             # Mirrors the real incumbent-free TIME_LIMIT shape exactly so
             # the analyzer's fallback ladder can be exercised on models
@@ -863,165 +988,52 @@ class Model:
                 message="time limit reached with no incumbent solution; "
                         "(chaos-injected)",
                 stats=self._make_stats(
-                    compiled, "milp", 0.0, "none", incremental,
+                    compiled, backend, 0.0, "none", incremental,
                     compile_cached,
                 ),
             )
 
-        constraints = (
-            optimize.LinearConstraint(compiled.a, compiled.row_lb, compiled.row_ub)
-            if compiled.a.shape[0]
-            else ()
-        )
-        with current_tracer().span(
-            "milp_solve", model=self.name, incremental=incremental
-        ) as span:
-            started = time.monotonic()
-            res = optimize.milp(
-                sign * compiled.c,
-                constraints=constraints,
-                integrality=compiled.integrality,
-                bounds=optimize.Bounds(compiled.var_lb, compiled.var_ub),
-                options=options,
-            )
-            elapsed = time.monotonic() - started
-            status = _SCIPY_STATUS.get(res.status, SolveStatus.ERROR)
-            span.set(solve_seconds=elapsed, status=status.value)
-        x = np.asarray(res.x) if res.x is not None else None
-        objective = (
-            float(sign * res.fun) + self._objective.constant
-            if res.fun is not None
-            else float("nan")
-        )
-        message = str(res.message)
-        if status is SolveStatus.TIME_LIMIT and x is None:
-            message = f"time limit reached with no incumbent solution; {message}"
-        gap = getattr(res, "mip_gap", None)
-        return SolveResult(
-            status=status,
-            objective=objective,
-            x=x,
-            duals=None,
-            mip_gap=float(gap) if gap is not None else None,
-            solve_seconds=elapsed,
-            message=message,
-            stats=self._make_stats(
-                compiled, "milp", elapsed, "none", incremental, compile_cached
-            ),
-        )
-
-    def _solve_lp(
-        self, compiled, time_limit, incremental, compile_cached,
-        relaxed: bool = False,
-    ) -> SolveResult:
-        row_lb, row_ub = compiled.row_lb, compiled.row_ub
-        a_matrix = compiled.a
         sign = -1.0 if self._sense == "max" else 1.0
-
-        # linprog wants A_ub x <= b_ub and A_eq x == b_eq; split rows.
-        # Range rows (finite, unequal bounds) contribute to BOTH masks.
-        eq_mask = np.isfinite(row_lb) & np.isfinite(row_ub) & (row_lb == row_ub)
-        ub_mask = ~eq_mask & np.isfinite(row_ub)
-        lb_mask = ~eq_mask & np.isfinite(row_lb)
-
-        a_ub_parts, b_ub_parts = [], []
-        if ub_mask.any():
-            a_ub_parts.append(a_matrix[ub_mask])
-            b_ub_parts.append(row_ub[ub_mask])
-        if lb_mask.any():
-            a_ub_parts.append(-a_matrix[lb_mask])
-            b_ub_parts.append(-row_lb[lb_mask])
-        a_ub = sparse.vstack(a_ub_parts) if a_ub_parts else None
-        b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
-        a_eq = a_matrix[eq_mask] if eq_mask.any() else None
-        b_eq = row_lb[eq_mask] if eq_mask.any() else None
-
-        options: dict = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
         with current_tracer().span(
-            "lp_solve", model=self.name, incremental=incremental,
-            relaxed=relaxed,
+            span_name, model=self.name, incremental=incremental, **span_attrs
         ) as span:
             started = time.monotonic()
-            res = optimize.linprog(
-                sign * compiled.c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=np.column_stack([compiled.var_lb, compiled.var_ub]),
-                method="highs",
-                options=options,
+            if self._csc is None:
+                self._csc = compiled.a.tocsc()
+            out = _run_highs(
+                self._csc, sign * compiled.c, compiled.row_lb,
+                compiled.row_ub, compiled.var_lb, compiled.var_ub,
+                compiled.integrality if integer else None,
+                time_limit, mip_rel_gap,
             )
             elapsed = time.monotonic() - started
-            status = _SCIPY_STATUS.get(res.status, SolveStatus.ERROR)
-            span.set(solve_seconds=elapsed, status=status.value)
-        x = np.asarray(res.x) if res.x is not None else None
+            span.set(solve_seconds=elapsed, status=out.status.value)
+        solved = out.x is not None
         objective = (
-            float(sign * res.fun) + self._objective.constant
-            if res.fun is not None
+            float(sign * out.objective) + self._objective.constant
+            if solved
             else float("nan")
         )
-        duals = self._recover_duals(
-            res, eq_mask, ub_mask, lb_mask, sign, n_rows=row_lb.size
-        )
-        message = str(res.message)
+        message = out.message
         if relaxed:
             message = f"LP relaxation (integrality dropped); {message}"
+        elif integer and out.status is SolveStatus.TIME_LIMIT and not solved:
+            message = f"time limit reached with no incumbent solution; {message}"
+        duals = sign * out.row_dual if out.row_dual is not None else None
         return SolveResult(
-            status=status,
+            status=out.status,
             objective=objective,
-            x=x,
+            x=out.x,
             duals=duals,
+            mip_gap=out.mip_gap,
             solve_seconds=elapsed,
             message=message,
             stats=self._make_stats(
-                compiled,
-                "linprog-relaxation" if relaxed else "linprog",
-                elapsed,
+                compiled, backend, elapsed,
                 "lp" if duals is not None else "none",
-                incremental,
-                compile_cached,
+                incremental, compile_cached,
             ),
         )
-
-    def _recover_duals(self, res, eq_mask, ub_mask, lb_mask, sign, n_rows):
-        """Map linprog marginals back to original constraint order.
-
-        We report ``duals[i] = d(objective)/d(rhs_i)`` *in the model's own
-        sense*, so for a maximization a binding ``<=`` constraint has a
-        nonnegative dual (the usual TE shadow-price convention), and for a
-        minimization a binding ``>=`` constraint has a nonnegative dual.
-
-        Range rows appear in both the ub and lb blocks of the matrix fed
-        to linprog, so their two marginals are *summed* -- at most one
-        side is binding at an optimum, and summing (rather than letting
-        the lb side overwrite the ub side, the historical bug) reports the
-        marginal of shifting the whole interval.
-        """
-        if res.x is None or not hasattr(res, "ineqlin"):
-            return None
-        duals = np.zeros(n_rows)
-        if res.ineqlin is not None:
-            # linprog's marginal is d(min objective)/d(b) of the row as fed
-            # to linprog; our objective is sign * that, and flipped lb rows
-            # were fed as -A x <= -b, so d/d(b) gains another minus sign.
-            ineq_marginals = np.asarray(res.ineqlin.marginals)
-            idx_ub = np.flatnonzero(ub_mask)
-            duals[idx_ub] += sign * ineq_marginals[: idx_ub.size]
-            idx_lb = np.flatnonzero(lb_mask)
-            duals[idx_lb] += -sign * ineq_marginals[
-                idx_ub.size : idx_ub.size + idx_lb.size
-            ]
-        eq_marginals = (
-            np.asarray(res.eqlin.marginals)
-            if getattr(res, "eqlin", None) is not None
-            else None
-        )
-        if eq_marginals is not None:
-            duals[np.flatnonzero(eq_mask)] = sign * eq_marginals
-        return duals
 
     def __repr__(self):
         kind = "MILP" if self.is_mip else "LP"

@@ -46,14 +46,22 @@ class SolveStats:
             the modeling-layer cost of assembling the formulation.
         compile_seconds: Time spent turning the model into CSR matrices
             (zero when the compile cache was reused).
-        solve_seconds: Time inside the HiGHS backend call.
-        backend: ``"milp"`` or ``"linprog"``.
+        solve_seconds: Time inside the HiGHS call: passing options and
+            the model to a fresh HiGHS instance, solving, and reading the
+            solution back (the first solve after a compile also makes the
+            CSC copy of the matrix that HiGHS takes).
+        backend: What was solved: ``"milp"`` (a MILP), ``"linprog"`` (an
+            LP) or ``"linprog-relaxation"`` (a MILP's LP relaxation).  All
+            three run HiGHS directly; the names are kept from when LPs went
+            through scipy's ``linprog``, because stored results and
+            journals carry them.
         max_abs_coefficient: Largest coefficient magnitude in the matrix
             -- a proxy for big-M magnitudes (large values flag loose
             linearizations that invite numerical trouble).
         max_abs_rhs: Largest finite row-bound magnitude.
-        dual_mode: How duals were recovered: ``"lp"`` (linprog
-            marginals, range-row marginals summed) or ``"none"`` (MILPs).
+        dual_mode: Where duals came from: ``"lp"`` (HiGHS's row duals,
+            one per model row, range rows included) or ``"none"`` (MILPs,
+            and LPs without a solution).
         incremental: Whether this was a :meth:`Model.resolve_with`
             re-solve reusing the compiled structure.
         compile_cached: Whether the compile cache supplied the matrices.
@@ -106,10 +114,12 @@ class SolveResult:
         objective: Objective value in the model's own sense (max problems
             report the maximum), or ``nan`` when no solution exists.
         x: Variable values in column order, or ``None`` without a solution.
-        duals: Per-constraint dual values for pure LPs solved through
-            :func:`scipy.optimize.linprog` (``None`` for MILPs).  Signs
-            follow the model's stated sense: for a maximization, the dual
-            of a binding ``<=`` constraint is nonnegative.
+        duals: One dual value per constraint row for solved LPs
+            (``None`` for MILPs): HiGHS's row dual times the objective
+            sign, i.e. d(objective)/d(row bound).  Signs follow the
+            model's stated sense: for a maximization, the dual of a
+            binding ``<=`` constraint is nonnegative.  A range row has one
+            dual, the marginal of shifting whichever side binds.
         mip_gap: Relative MIP gap reported by HiGHS when available.
         solve_seconds: Wall-clock time spent inside the backend call.
         stats: Per-solve :class:`SolveStats` telemetry (``None`` only for

@@ -7,6 +7,7 @@ from repro.exceptions import TopologyError
 from repro.failures.montecarlo import estimate_availability, sample_scenario
 from repro.network.builder import from_edges
 from repro.network.srlg import attach_srlg
+from repro.network.topology import Topology
 
 import numpy as np
 
@@ -148,6 +149,26 @@ class TestScenarioResolver:
         demands = {("a", "d"): 12.0, ("b", "c"): 5.0}
         return topology, demands, paths
 
+    def _bundled_grid(self):
+        """LAGs of 2-3 unequal links (partial failures shrink capacity
+        without taking the LAG down) and a second backup path per pair,
+        which Eq. 5 opens only once two higher-priority paths are down."""
+        topology = Topology(name="bundled")
+        for node in "abcde":
+            topology.add_node(node)
+        for u, v, caps in [
+            ("a", "b", [4, 3, 3]), ("b", "d", [5, 5]), ("a", "c", [2, 2, 2]),
+            ("c", "d", [3, 3]), ("b", "c", [2]), ("a", "d", [3]),
+            ("c", "e", [4, 2]), ("e", "d", [3, 3, 1]),
+        ]:
+            topology.add_lag(u, v, link_capacities=caps,
+                             link_probabilities=[0.1] * len(caps))
+        pairs = [("a", "d"), ("b", "c"), ("a", "e")]
+        paths = PathSet.k_shortest(topology, pairs, num_primary=1,
+                                   num_backup=2)
+        demands = {("a", "d"): 14.0, ("b", "c"): 5.0, ("a", "e"): 6.0}
+        return topology, demands, paths
+
     def test_matches_simulation_over_all_single_failures(self):
         from repro.failures.montecarlo import ScenarioResolver
         from repro.failures.scenario import (
@@ -155,20 +176,20 @@ class TestScenarioResolver:
             simulate_failed_network,
         )
 
-        topology, demands, paths = self._grid()
-        resolver = ScenarioResolver(topology, demands, paths)
-        scenarios = [FailureScenario()] + [
-            FailureScenario([(lag.key, i)])
-            for lag in topology.lags
-            for i in range(len(lag.links))
-        ]
-        for scenario in scenarios:
-            expected = simulate_failed_network(
-                topology, demands, paths, scenario
-            ).total_flow
-            assert resolver.delivered(scenario) == pytest.approx(
-                expected, abs=1e-6
-            ), f"mismatch under {scenario}"
+        for topology, demands, paths in (self._grid(), self._bundled_grid()):
+            resolver = ScenarioResolver(topology, demands, paths)
+            scenarios = [FailureScenario()] + [
+                FailureScenario([(lag.key, i)])
+                for lag in topology.lags
+                for i in range(len(lag.links))
+            ]
+            for scenario in scenarios:
+                expected = simulate_failed_network(
+                    topology, demands, paths, scenario
+                ).total_flow
+                assert resolver.delivered(scenario) == pytest.approx(
+                    expected, abs=1e-6
+                ), f"mismatch under {scenario}"
 
     def test_matches_simulation_on_double_failures(self):
         import itertools
@@ -179,21 +200,31 @@ class TestScenarioResolver:
             simulate_failed_network,
         )
 
-        topology, demands, paths = self._grid()
+        for topology, demands, paths in (self._grid(), self._bundled_grid()):
+            resolver = ScenarioResolver(topology, demands, paths)
+            links = [
+                (lag.key, i)
+                for lag in topology.lags
+                for i in range(len(lag.links))
+            ]
+            for pair in itertools.combinations(links, 2):
+                scenario = FailureScenario(pair)
+                expected = simulate_failed_network(
+                    topology, demands, paths, scenario
+                ).total_flow
+                assert resolver.delivered(scenario) == pytest.approx(
+                    expected, abs=1e-6
+                ), f"mismatch under {scenario}"
+
+    def test_unknown_link_raises_topology_error(self):
+        from repro.failures.montecarlo import ScenarioResolver
+        from repro.failures.scenario import FailureScenario
+
+        topology, demands, paths = self._bundled_grid()
         resolver = ScenarioResolver(topology, demands, paths)
-        links = [
-            (lag.key, i)
-            for lag in topology.lags
-            for i in range(len(lag.links))
-        ]
-        for pair in itertools.combinations(links, 2):
-            scenario = FailureScenario(pair)
-            expected = simulate_failed_network(
-                topology, demands, paths, scenario
-            ).total_flow
-            assert resolver.delivered(scenario) == pytest.approx(
-                expected, abs=1e-6
-            )
+        for bad in [(("a", "e"), 0), (("a", "b"), 3)]:
+            with pytest.raises(TopologyError):
+                resolver.delivered(FailureScenario([(("a", "b"), 0), bad]))
 
     def test_resolver_is_stateless_between_scenarios(self, diamond, paths):
         from repro.failures.montecarlo import ScenarioResolver

@@ -2,9 +2,9 @@
 
 Covers ``LinExpr.from_arrays`` / batched ``quicksum``, ``add_vars_batch``,
 ``add_constrs_batch``, the compile cache, ``Model.resolve_with``, per-solve
-``SolveStats`` telemetry, and -- crucially -- the dual-recovery regression
-for range constraints (the two linprog marginal loops must *sum* into a
-row present in both the ub and lb masks, not overwrite it).
+``SolveStats`` telemetry, and -- crucially -- the range-constraint dual
+regression (a range row's dual is the marginal of whichever side binds,
+never zeroed by its slack side).
 """
 
 import numpy as np
@@ -366,10 +366,10 @@ class TestResolveWith:
 
 
 class TestRangeDualRegression:
-    """Range rows appear in both the ub and lb linprog masks; their two
-    marginals must be *summed*.  The historic bug overwrote the ub-side
-    dual with the (zero) lb-side marginal, silently zeroing every range
-    dual -- these tests fail on that code."""
+    """A range row reaches HiGHS as one two-sided row with one dual.
+    When range rows were split into a ``<=`` and a ``>=`` row, a historic
+    bug overwrote the ub-side dual with the (zero) lb-side marginal,
+    silently zeroing every range dual -- these tests fail on that code."""
 
     def test_range_binding_above_has_nonzero_dual(self):
         m = Model()

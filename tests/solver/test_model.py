@@ -241,3 +241,56 @@ class TestNumerics:
         x = m.add_var(lb=-5, ub=5)
         m.set_objective(x, sense="min")
         assert m.solve().objective == pytest.approx(-5.0)
+
+
+def _nan_via_resolve_with():
+    m = Model()
+    x, y = m.add_var(ub=10), m.add_var(ub=5)
+    cap = m.add_constr(x + y <= 8)
+    m.set_objective(x + 2 * y, sense="max")
+    return lambda: m.resolve_with(rhs_overrides={cap: float("nan")})
+
+
+def _nan_via_add_var():
+    m = Model()
+    x, y = m.add_var(ub=float("nan")), m.add_var(ub=5)
+    m.add_constr(x + y <= 8)
+    m.set_objective(x + 2 * y, sense="max")
+    return m.solve
+
+
+def _nan_via_add_constr():
+    m = Model()
+    x, y = m.add_var(ub=10), m.add_var(ub=5)
+    m.add_constr(x + y <= float("nan"))
+    m.set_objective(x + 2 * y, sense="max")
+    return m.solve
+
+
+def _nan_via_add_constrs_batch():
+    m = Model()
+    x, y = m.add_var(ub=10), m.add_var(ub=5)
+    m.add_constrs_batch([0, 2], [x.index, y.index], rhs=[float("nan")])
+    m.set_objective(x + 2 * y, sense="max")
+    return m.solve
+
+
+@pytest.mark.parametrize("make_solve", [
+    _nan_via_resolve_with, _nan_via_add_var, _nan_via_add_constr,
+    _nan_via_add_constrs_batch,
+], ids=["resolve_with", "add_var", "add_constr", "add_constrs_batch"])
+def test_nan_bound_raises_instead_of_solving(make_solve):
+    # A NaN bound passes every ``lb > ub`` check; it used to reach the
+    # solver as a dropped row (OPTIMAL 20.0) or a free column (UNBOUNDED).
+    with pytest.raises(ModelingError, match="NaN"):
+        make_solve()()
+
+
+def test_infinite_bounds_still_solve():
+    m = Model()
+    x = m.add_var(lb=-float("inf"), ub=float("inf"))
+    cap = m.add_constr(x <= 3)
+    m.add_range_constr(x, -float("inf"), float("inf"))
+    m.set_objective(x.to_expr(), sense="max")
+    assert m.solve().objective == 3.0
+    assert m.resolve_with({cap: float("inf")}).status is SolveStatus.UNBOUNDED
