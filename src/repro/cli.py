@@ -1040,7 +1040,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "the lease)")
     p_wk.add_argument("--poll-interval", type=float, default=0.5,
                       metavar="SECONDS",
-                      help="idle wait between empty claim polls")
+                      help="longest time one claim request waits at "
+                           "the coordinator for a job to arrive (the "
+                           "coordinator wakes it as soon as one does)")
     p_wk.add_argument("--drain-timeout", type=float, default=30.0,
                       help="seconds to let in-flight jobs settle on "
                            "SIGINT/SIGTERM before abandoning their "

@@ -383,8 +383,11 @@ class DistribConfig:
         num_workers: Worker slots (concurrent claims) in one agent.
             The agent's lease knobs are a :class:`SupervisionConfig`,
             the same one the coordinator's local pool uses.
-        poll_interval_seconds: How long an idle slot waits after an
-            empty claim before polling the coordinator again.
+        poll_interval_seconds: The longest wait of one claim request:
+            an idle slot long-polls the coordinator, which answers as
+            soon as a job becomes claimable (or after this long, capped
+            by the coordinator and at half ``request_timeout_seconds``),
+            and an empty answer is followed straight by the next claim.
         drain_timeout_seconds: On SIGINT/SIGTERM, how long the agent
             waits for in-flight jobs before giving up the join
             (abandoned claims are left to lapse and be reaped).
@@ -472,8 +475,12 @@ class ServiceConfig:
             coordinator: it accepts submissions, runs the reaper and
             supervision loops, and leaves execution entirely to remote
             ``repro worker`` agents claiming over HTTP.
-        poll_interval_seconds: How long an idle worker waits before
-            re-polling the queue for work.
+        poll_interval_seconds: The longest single wait for work inside
+            one claim.  An idle worker is woken as soon as a job becomes
+            claimable in this process (one worker per job) and claims
+            again straight after an empty claim; the interval only
+            bounds the wait, as the fallback for jobs queued by another
+            process sharing the store.
         max_queue_depth: Admission control: submissions that would push
             the number of queued+running jobs past this are shed with
             HTTP 429 + ``Retry-After`` instead of being accepted and
@@ -498,8 +505,13 @@ class ServiceConfig:
         isolate_jobs: Run each claimed job in a worker *process* (the
             executor's pooled path), so a crashing or wedged solve
             cannot take the service down and per-job wall timeouts
-            apply.  ``False`` runs jobs in the scheduler thread --
-            faster to start, used by tests.
+            apply.  Each scheduler worker keeps one warm process,
+            forked on its first claim and reused by later jobs; it is
+            retired (and a fresh one forked on the next claim) after a
+            crash, any attempt that did not return ok, including a wall
+            timeout, or a cancel that abandons the attempt, and shut
+            down when the worker stops.  ``False`` runs jobs in the
+            scheduler thread, used by tests.
         max_body_bytes: Reject request bodies larger than this with
             HTTP 413 *before* reading them -- an advertised
             ``Content-Length`` is not an invitation to buffer it.

@@ -122,12 +122,21 @@ class FleetClient(ServiceClient):
 
     # -- the fenced claim protocol --------------------------------------
 
-    def claim(self, lease_seconds: float | None = None) -> dict | None:
-        """Claim the best queued job, or learn the queue is empty.
+    def claim(self, lease_seconds: float | None = None,
+              wait_seconds: float = 0.0) -> dict | None:
+        """Claim the best queued job, long-polling for one when idle.
+
+        Args:
+            lease_seconds: The claim's lease (the coordinator's default
+                when ``None``).
+            wait_seconds: How long the coordinator may hold the request
+                waiting for a job on an empty queue.  Capped here at
+                half the request timeout, and by the coordinator at its
+                own limit.
 
         Returns:
             The claim document (with its ``claim_token`` fence and
-            ``lease_expires_at``), or ``None`` on an empty queue.
+            ``lease_expires_at``), or ``None`` when no job came.
 
         Raises:
             AdmissionError: The coordinator shed this claim (the fleet
@@ -137,6 +146,10 @@ class FleetClient(ServiceClient):
         body: dict = {"worker": self.worker_id}
         if lease_seconds is not None:
             body["lease_seconds"] = float(lease_seconds)
+        if wait_seconds > 0:
+            body["wait_seconds"] = min(
+                float(wait_seconds),
+                self.config.request_timeout_seconds / 2)
         status, doc, headers = self._fleet_request(
             "distrib.claim", self.worker_id, "POST", "/v1/claims", body)
         self._raise_for(status, doc, headers)

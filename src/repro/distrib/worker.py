@@ -40,8 +40,8 @@ class WorkerAgent:
 
     Args:
         connect_url: ``http://host:port`` of the coordinating service.
-        config: Fleet knobs (slots, poll cadence, retry budget, drain
-            timeout).
+        config: Fleet knobs (slots, longest claim wait, retry budget,
+            drain timeout).
         supervision: Lease knobs (lease, heartbeat cadence, renewal
             cap) for this agent's claims.
         runner_config: Executor knobs for the jobs themselves; defaults
@@ -52,7 +52,8 @@ class WorkerAgent:
             because results ship in the settle payload).
         isolate_jobs: Run each job in a worker *process* (the
             executor's pooled path) so a segfaulting solve costs one
-            job, not the agent.
+            job, not the agent.  Each slot keeps its worker process
+            warm across claims (see :class:`ClaimRunner`).
     """
 
     def __init__(self, connect_url: str,

@@ -18,6 +18,9 @@ explicit job list) into settled :class:`JobOutcome` records:
   completes.  A worker crash breaks the whole pool, so recovery
   requeues the casualties free of charge and re-runs them one-per-pool
   to pin the crash on the job that caused it (see :func:`_run_pool`).
+  A caller that runs one job after another (a service slot) can hand
+  in a :class:`WarmWorker`, whose one process then serves every shared
+  round instead of a pool forked per call.
 * **Caching / resumability** -- before running, each job key is checked
   against the result cache and (under ``resume=True``) the journal;
   hits settle instantly as ``cached`` / ``resumed``.
@@ -645,6 +648,7 @@ def run_sweep(
     handle_signals: bool = True,
     cancel_check=None,
     attempt_base: int = 0,
+    warm_worker: WarmWorker | None = None,
 ) -> SweepOutcome:
     """Run a campaign to completion and return every job's outcome.
 
@@ -710,6 +714,12 @@ def run_sweep(
             continuous across crashes, restarts, and lease reaps: a
             fault scoped to ``attempts: [1]`` fires once per *job*,
             not once per claim of it.
+        warm_worker: A :class:`WarmWorker` that runs the pooled path's
+            shared rounds in its one reusable process, instead of a
+            pool built and joined for this call.  It is retired after
+            a broken pool, any attempt that did not return ok, or a
+            cancel that abandons an in-flight attempt; isolation rounds
+            still run in fresh pools.  Unused when ``num_workers`` is 1.
 
     Returns:
         A :class:`SweepOutcome`; inspect ``.errors()`` or call
@@ -795,7 +805,7 @@ def run_sweep(
                                 attempt_base)
                 else:
                     _run_pool(pending, campaign, wall_timeout, workers,
-                              attempt_base)
+                              attempt_base, warm_worker)
 
             if stopper.stopped:
                 # Drain epilogue: flush a terminal journal record (so
@@ -906,9 +916,44 @@ def _run_serial(pending: list[Job], campaign: _Campaign,
                 return
 
 
+class WarmWorker:
+    """One worker process kept warm across :func:`run_sweep` calls.
+
+    A single-process :class:`ProcessPoolExecutor`, forked lazily on
+    first use and reused until :meth:`retire` -- which the executor
+    calls after anything that could leave the process broken, wedged
+    or holding a failed attempt's state.  The next use forks a fresh
+    one.  Not thread-safe: one owner (a service slot) at a time.  As a
+    context manager it retires the worker on exit.
+    """
+
+    def __init__(self):
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "WarmWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.retire()
+
+    def pool(self) -> ProcessPoolExecutor:
+        """The live pool, forking its worker on first use."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=1)
+        return self._pool
+
+    def retire(self, wait: bool = True) -> None:
+        """Shut the pool down; ``wait=False`` leaves an in-flight
+        attempt to finish on its own."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=True)
+            self._pool = None
+
+
 def _run_pool(pending: list[Job], campaign: _Campaign,
               wall_timeout: float | None, workers: int,
-              attempt_base: int = 0) -> None:
+              attempt_base: int = 0,
+              warm: WarmWorker | None = None) -> None:
     """Pooled execution in rounds; survives hard worker crashes.
 
     A worker crash (segfault, OOM kill, ``os._exit``) breaks the whole
@@ -943,7 +988,8 @@ def _run_pool(pending: list[Job], campaign: _Campaign,
                                      campaign, wall_timeout)
         else:
             queue, broke = _parallel_round(queue, attempts, failed_seconds,
-                                           campaign, wall_timeout, workers)
+                                           campaign, wall_timeout, workers,
+                                           warm)
             isolate = broke
         if queue:
             round_number += 1
@@ -969,7 +1015,7 @@ def _settle_or_requeue(job, res, attempts, failed_seconds, campaign,
 
 
 def _parallel_round(queue, attempts, failed_seconds, campaign,
-                    wall_timeout, workers):
+                    wall_timeout, workers, warm=None):
     """One shared-pool pass.  Returns (requeue, pool_broke).
 
     Without a ``cancel_check`` the wait loop blocks until a future
@@ -978,20 +1024,32 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
     settles every unfinished job as ``cancelled`` and abandons the pool
     without waiting for in-flight attempts (their worker processes
     finish the current task and exit; no result is recorded).
+
+    With a ``warm`` worker the round runs on its pool and leaves it
+    running, unless the pool broke, an attempt did not return ok, or
+    the round was abandoned: then the worker is retired.
     """
     config = campaign.config
     requeue: list[Job] = []
     broke = False
+    failed = False
     abandoned = False
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(queue)))
+    pool = warm.pool() if warm is not None \
+        else ProcessPoolExecutor(max_workers=min(workers, len(queue)))
     try:
-        futures = {
-            pool.submit(invoke_job, job.payload,
-                        _wall_timeout_for(job, wall_timeout, config),
-                        attempts[job.key] + 1, campaign.chaos_doc,
-                        True, campaign.trace_jobs): job
-            for job in queue
-        }
+        try:
+            futures = {
+                pool.submit(invoke_job, job.payload,
+                            _wall_timeout_for(job, wall_timeout, config),
+                            attempts[job.key] + 1, campaign.chaos_doc,
+                            True, campaign.trace_jobs): job
+                for job in queue
+            }
+        except BrokenProcessPool:
+            # A warm worker died while idle: no attempt ran, so every
+            # job goes to the isolation round free of charge.
+            broke = True
+            return list(queue), broke
         poll = _CANCEL_POLL_SECONDS if campaign.cancel_check is not None \
             else None
         not_done = set(futures)
@@ -1040,10 +1098,14 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
                     res = {"ok": False, "status": "error",
                            "error": f"{type(exc).__name__}: {exc}",
                            "seconds": 0.0}
+                failed = failed or not res["ok"]
                 _settle_or_requeue(job, res, attempts, failed_seconds,
                                    campaign, requeue)
     finally:
-        pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        if warm is None:
+            pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        elif broke or failed or abandoned:
+            warm.retire(wait=not abandoned)
     return requeue, broke
 
 

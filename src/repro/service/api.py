@@ -24,10 +24,11 @@ POST   ``/v1/analyses/<id>/retry``       requeue quarantined jobs with
                                          a fresh attempt budget
 POST   ``/v1/claims``                    claim the best queued job with
                                          a lease + fencing token (the
-                                         remote worker protocol); 200
-                                         with ``claim: null`` when the
-                                         queue is empty, 429 when claim
-                                         rate is shed
+                                         remote worker protocol),
+                                         waiting up to ``wait_seconds``
+                                         for one; 200 with ``claim:
+                                         null`` when none came, 429
+                                         when claim rate is shed
 GET    ``/v1/claims``                    active claims: who runs what,
                                          whose lease expires when
 POST   ``/v1/claims/<aid>/<key>/heartbeat``  renew the claim's lease
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -83,6 +85,10 @@ from repro.service.scheduler import Scheduler, settle_claim
 from repro.service.store import JobStore
 
 logger = logging.getLogger(__name__)
+
+#: Cap on one claim request's ``wait_seconds`` long-poll, well below
+#: a worker agent's default request timeout (30 s).
+MAX_CLAIM_WAIT_SECONDS = 5.0
 
 #: Default cap on accepted request bodies (a spec with embedded
 #: documents for a continental-scale topology fits comfortably; a
@@ -331,12 +337,17 @@ class AnalysisService:
         """Hand the best queued job to a remote worker (fenced + leased).
 
         The body may carry ``worker`` (the claiming identity; defaults
-        to the ``X-Client`` header) and ``lease_seconds`` (defaults to
-        the service's supervision lease).  Runs the same deadline +
-        quarantine sweep as the local pool before claiming, so remote
-        workers never receive work the coordinator already knows is
-        dead.  An empty queue is a normal answer -- 200 with
-        ``claim: null`` and a poll hint -- not an error.
+        to the ``X-Client`` header), ``lease_seconds`` (defaults to the
+        service's supervision lease) and ``wait_seconds`` (default 0:
+        answer at once).  Runs the same claim path as the local pool
+        (:meth:`Scheduler.claim`): the deadline + quarantine sweep, so
+        remote workers never receive work the coordinator already knows
+        is dead, then the claim, and on an empty queue a wait for the
+        store's wake-up of at most ``wait_seconds``, capped at
+        :data:`MAX_CLAIM_WAIT_SECONDS`.  The claim-rate shed applies
+        once per request, however long it waits.  An empty queue is a
+        normal answer -- 200 with ``claim: null`` and the
+        ``wait_seconds`` the server honoured -- not an error.
         """
         worker_id = body.get("worker") or client
         if not isinstance(worker_id, str) or not worker_id:
@@ -354,15 +365,17 @@ class AnalysisService:
                 or isinstance(lease, bool) or lease <= 0:
             raise ServiceError("lease_seconds must be a positive number",
                                status=400)
-        self.scheduler.supervise_queue()
-        claimed = self.store.claim(lease_seconds=float(lease),
-                                   worker_id=worker_id)
+        wait = body.get("wait_seconds", 0.0)
+        if not isinstance(wait, (int, float)) \
+                or isinstance(wait, bool) or not math.isfinite(wait) \
+                or wait < 0:
+            raise ServiceError(
+                "wait_seconds must be a non-negative number", status=400)
+        wait = min(float(wait), MAX_CLAIM_WAIT_SECONDS)
+        claimed = self.scheduler.claim(float(lease), worker_id, wait)
         if claimed is None:
             metrics().counter("service.claims_empty").inc()
-            return 200, {
-                "claim": None,
-                "retry_after_seconds": self.config.poll_interval_seconds,
-            }, {}
+            return 200, {"claim": None, "wait_seconds": wait}, {}
         metrics().counter("service.claims_granted").inc()
         metrics().gauge("service.queue_depth").set(self.store.depth())
         claimed["lease_seconds"] = float(lease)

@@ -8,6 +8,13 @@ the in-process :class:`~repro.service.store.JobStore` or by the fleet's
 HTTP claim protocol.  The supervision contract is therefore the same on
 both paths:
 
+* **Claiming.**  The claim verb itself waits for work: an idle slot
+  blocks in ``claim(lease, wait_seconds=poll_interval_seconds)`` until
+  a job becomes claimable -- the local store wakes one waiter per
+  claimable job, and ``POST /v1/claims`` long-polls the same way -- so
+  an empty claim goes straight back to claiming, with no sleep.  The
+  poll interval only bounds one wait, as the fallback for writers the
+  wake-up cannot see.
 * **Execution.**  A claimed job runs through the existing sweep
   executor (:func:`repro.runner.executor.run_sweep` on a single-job
   campaign) -- the same wall timeouts, bounded retries, process
@@ -16,6 +23,13 @@ both paths:
   ``attempt_base`` carries the store-level attempt count into the
   executor, so chaos plans keyed on attempts behave the same across
   crashes, reaps and worker hops.
+* **Warm workers.**  With process isolation each slot owns one
+  :class:`~repro.runner.executor.WarmWorker`, forked on its first
+  claim and reused by the next jobs.  The executor retires it after a
+  broken pool, any attempt that did not return ok (error or wall
+  timeout) or a cancel that abandons the attempt; crash attribution
+  still runs each suspect in a fresh pool.  The slot shuts its worker
+  down when its loop exits.
 * **Leases.**  A heartbeat thread renews the claim's lease while the
   job runs.  Because it outlives a solve wedged inside a worker
   process, renewal stops at a horizon: the job's worst-case wall budget
@@ -37,7 +51,9 @@ both paths:
 * **Drain.**  The stop event is the executor's ``stop_event``: the
   in-flight attempt finishes, a claim that never started is released
   (attempt refunded), and the slots are joined against one shared
-  deadline.  A slot still busy after it is abandoned to its lease.
+  deadline.  A slot still busy after it is abandoned to its lease.  An
+  idle local slot is woken at once; one parked in a remote long-poll
+  returns within its poll interval.
 """
 
 from __future__ import annotations
@@ -45,13 +61,14 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import nullcontext
 from typing import Protocol
 
 from repro.core.config import RunnerConfig, SupervisionConfig
 from repro.exceptions import AdmissionError, ServiceError
 from repro.obs.trace import Tracer
 from repro.runner.cache import ResultCache
-from repro.runner.executor import JobOutcome, run_sweep
+from repro.runner.executor import JobOutcome, WarmWorker, run_sweep
 from repro.runner.jobs import Job
 from repro.service.store import InjectedServiceCrash
 
@@ -61,8 +78,10 @@ logger = logging.getLogger(__name__)
 class ClaimTransport(Protocol):
     """How a :class:`ClaimRunner` reaches the job queue."""
 
-    def claim(self, lease_seconds: float) -> dict | None:
-        """Claim the best queued job (``None`` on an empty queue)."""
+    def claim(self, lease_seconds: float,
+              wait_seconds: float = 0.0) -> dict | None:
+        """Claim the best queued job, waiting up to ``wait_seconds``
+        for one to become claimable (``None`` when none did)."""
 
     def heartbeat(self, analysis_id: str, key: str, token: str,
                   lease_seconds: float) -> str:
@@ -90,9 +109,11 @@ class ClaimRunner:
         runner_config: Executor knobs for the jobs themselves.
         cache: Result cache handed to the executor (``None`` for none).
         isolate_jobs: Run each job in a worker process (the executor's
-            pooled path) instead of on the slot thread.
-        poll_interval_seconds: How long an idle slot waits before
-            claiming again.
+            pooled path) instead of on the slot thread.  Each slot
+            keeps one warm worker process across its claims.
+        poll_interval_seconds: The longest single wait for work inside
+            one claim; an empty claim is followed straight by the next.
+            Also the pause after a failed transport call.
         ship_spans: Trace each job with its own tracer and ship the
             spans in the settle (a remote agent's spans would otherwise
             stay in its own process).  Without it jobs trace into the
@@ -157,41 +178,59 @@ class ClaimRunner:
             How many claims were processed (settled or released).
         """
         processed = 0
-        while not self.stop_event.is_set() and self.run_one():
-            processed += 1
+        with self._warm_worker() as warm:
+            while not self.stop_event.is_set() \
+                    and self.run_one(warm_worker=warm):
+                processed += 1
         return processed
 
+    def _warm_worker(self):
+        """A slot's worker process, shut down when the ``with`` block
+        exits (``None`` without process isolation)."""
+        return WarmWorker() if self.isolate_jobs else nullcontext()
+
     def _slot_loop(self, index: int) -> None:
-        while not self.stop_event.is_set():
-            try:
-                ran = self.run_one()
-            except InjectedServiceCrash:
-                # In-process chaos: this slot "dies".  Its claim stays
-                # running in the store, exactly as after a real crash,
-                # until restart recovery or the reaper requeues it.
-                logger.warning("slot %d killed by injected crash", index)
-                return
-            except AdmissionError as exc:
-                # The coordinator shed our claim: honor its Retry-After.
-                self.stop_event.wait(exc.retry_after
-                                     or self.poll_interval_seconds)
-                continue
-            except ServiceError as exc:
-                # Transport retries are spent; treat an unreachable
-                # coordinator as a long poll -- it may be restarting.
-                logger.warning("slot %d: claim transport failed: %s",
-                               index, exc)
-                ran = False
-            if not ran:
-                self.stop_event.wait(self.poll_interval_seconds)
+        with self._warm_worker() as warm:
+            while not self.stop_event.is_set():
+                try:
+                    self.run_one(self.poll_interval_seconds, warm)
+                except InjectedServiceCrash:
+                    # In-process chaos: this slot "dies".  Its claim
+                    # stays running in the store, exactly as after a
+                    # real crash, until restart recovery or the reaper
+                    # requeues it.
+                    logger.warning("slot %d killed by injected crash",
+                                   index)
+                    return
+                except AdmissionError as exc:
+                    # The coordinator shed our claim: honor its
+                    # Retry-After.
+                    self.stop_event.wait(exc.retry_after
+                                         or self.poll_interval_seconds)
+                except ServiceError as exc:
+                    # Transport retries are spent; treat an unreachable
+                    # coordinator as a long poll -- it may be
+                    # restarting.
+                    logger.warning("slot %d: claim transport failed: %s",
+                                   index, exc)
+                    self.stop_event.wait(self.poll_interval_seconds)
 
     def _count(self, outcome: str) -> None:
         with self._counts_lock:
             self.counts[outcome] = self.counts.get(outcome, 0) + 1
 
-    def run_one(self) -> bool:
-        """Claim, run and settle one job; False when the queue is empty."""
-        claimed = self.transport.claim(self.supervision.lease_seconds)
+    def run_one(self, wait_seconds: float = 0.0,
+                warm_worker: WarmWorker | None = None) -> bool:
+        """Claim, run and settle one job; False when no job was claimed.
+
+        Args:
+            wait_seconds: How long the claim may wait for work when the
+                queue is empty (0 answers at once).
+            warm_worker: The slot's reusable worker process, for jobs
+                run with process isolation (``None`` forks per job).
+        """
+        claimed = self.transport.claim(self.supervision.lease_seconds,
+                                       wait_seconds)
         if claimed is None:
             return False
         analysis_id, key = claimed["analysis_id"], claimed["key"]
@@ -244,6 +283,7 @@ class ClaimRunner:
                 stop_event=self.stop_event,
                 cancel_check=cancel_check,
                 attempt_base=claimed["attempts"] - 1,
+                warm_worker=warm_worker,
             )
             settled = outcome.outcomes[0] if outcome.outcomes else None
         except InjectedServiceCrash:

@@ -7,8 +7,8 @@ shared claim -> execute -> settle loop
 renewal horizon, fencing, cancel, deadlines and drain live there, and
 behave the same for remote ``repro worker`` agents.  With
 ``ServiceConfig.isolate_jobs`` (the default) each job runs in a worker
-*process*, so a segfaulting or wedged solve costs one job, not the
-service.
+*process* -- one warm process per slot, reused across claims -- so a
+segfaulting or wedged solve costs one job, not the service.
 
 What the scheduler itself owns is the coordinator's side of
 supervision, which covers local and remote claims alike:
@@ -26,6 +26,11 @@ supervision, which covers local and remote claims alike:
   queued jobs past their deadline and quarantines jobs that spent
   ``max_job_attempts`` claims; every claim, local or over HTTP, runs it
   first.
+* **The claim.**  :meth:`Scheduler.claim` is the one claim path for
+  local slots and the HTTP endpoint alike: on an empty queue it waits
+  on the store's wake-up (one waiter per newly claimable job) for at
+  most the caller's wait, then claims once more.  :meth:`Scheduler.stop`
+  wakes every waiter so a drain is not held up by an idle slot.
 * **Registration.**  The pool registers in the worker table as
   ``local`` (capacity = ``num_workers``).  With
   ``ServiceConfig.local_workers=False`` (``serve --no-local-workers``)
@@ -88,10 +93,11 @@ class _StoreTransport:
         self.scheduler = scheduler
         self.store = scheduler.store
 
-    def claim(self, lease_seconds: float) -> dict | None:
-        self.scheduler.supervise_queue()
-        claimed = self.store.claim(lease_seconds=lease_seconds,
-                                   worker_id=self.scheduler.worker_id)
+    def claim(self, lease_seconds: float,
+              wait_seconds: float = 0.0) -> dict | None:
+        claimed = self.scheduler.claim(lease_seconds,
+                                       self.scheduler.worker_id,
+                                       wait_seconds)
         if claimed is not None:
             service_crash("service.crash_claimed", key=claimed["key"])
             metrics().gauge("service.queue_depth").set(self.store.depth())
@@ -185,6 +191,9 @@ class Scheduler:
         is requeued by the reaper or the next start's recovery, never
         lost.
         """
+        # Set the stop first: a waiter woken before it would claim again.
+        self.stop_event.set()
+        self.store.wake_waiters()
         self.runner.stop(
             self.config.drain_timeout_seconds if drain else 0.0)
         if self._reaper is not None:
@@ -232,6 +241,32 @@ class Scheduler:
                 self.reap_once()
             except Exception:
                 logger.exception("reaper pass failed; will retry")
+
+    def claim(self, lease_seconds: float, worker_id: str,
+              wait_seconds: float = 0.0) -> dict | None:
+        """Claim the best queued job, waiting up to ``wait_seconds``.
+
+        Supervises the queue, then claims.  If the queue was empty it
+        waits for the store's wake-up -- returning at once if a job
+        became claimable since the generation read before the claim --
+        and claims once more.  The wait stays outside
+        :meth:`JobStore.claim`, which remains one SQLite transaction.
+
+        Returns:
+            The claim, or ``None`` when the wait ran out, another
+            consumer won the job, or the scheduler is stopping.
+        """
+        generation = self.store.generation
+        self.supervise_queue()
+        claimed = self.store.claim(lease_seconds=lease_seconds,
+                                   worker_id=worker_id)
+        if (claimed is None and wait_seconds > 0
+                and self.store.wait_for_work(generation, wait_seconds)
+                and not self.stop_event.is_set()):
+            self.supervise_queue()
+            claimed = self.store.claim(lease_seconds=lease_seconds,
+                                       worker_id=worker_id)
+        return claimed
 
     def supervise_queue(self) -> None:
         """Deadline + quarantine sweep over the queued set.

@@ -49,6 +49,15 @@ Supervision (the self-healing layer on top of the state machine):
   ``claimed_by`` column, so :meth:`fleet` and :meth:`running_claims`
   can report fleet size and per-worker in-flight counts.  Identity is
   bookkeeping only; *fencing* is always the per-claim token.
+* **Wake-up** -- every transition that makes a job claimable (submit,
+  release, recovery and reap requeues, :meth:`retry_quarantined`) bumps
+  a generation counter and wakes one waiter per claimable job, so an
+  idle consumer blocked in :meth:`wait_for_work` claims it at once
+  instead of sleeping out a poll interval.  The counter closes the
+  lost-wakeup race: a waiter passes the generation it read *before*
+  its empty claim, and returns at once if anything became claimable in
+  between.  Writers in other processes are invisible to it; the
+  caller's bounded wait is the fallback for those.
 
 Identity and idempotence:
 
@@ -180,6 +189,9 @@ class JobStore:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._lock = threading.RLock()
+        #: Bumped (under ``_work``) whenever a job becomes claimable.
+        self._generation = 0
+        self._work = threading.Condition(threading.Lock())
         self._conn = sqlite3.connect(
             self.path, check_same_thread=False, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
@@ -219,6 +231,45 @@ class JobStore:
                 self._conn.close()
             except sqlite3.Error:
                 pass
+
+    # -- wake-up -------------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """A counter that moves whenever a job becomes claimable here.
+
+        Read it *before* claiming and hand it to :meth:`wait_for_work`
+        after an empty claim.
+        """
+        with self._work:
+            return self._generation
+
+    def wait_for_work(self, generation: int, timeout: float) -> bool:
+        """Block until a job became claimable after ``generation``.
+
+        Returns at once when the generation already moved on (a job
+        landed between the caller's read and now).  Otherwise it waits
+        for a wake-up or for ``timeout`` seconds.
+
+        Returns:
+            Whether the generation moved (False on timeout).
+        """
+        with self._work:
+            return self._work.wait_for(
+                lambda: self._generation != generation, timeout)
+
+    def wake_waiters(self) -> None:
+        """Wake every :meth:`wait_for_work` caller (shutdown)."""
+        with self._work:
+            self._generation += 1
+            self._work.notify_all()
+
+    def _announce(self, claimable: int) -> None:
+        """Bump the generation; wake one waiter per claimable job."""
+        if claimable:
+            with self._work:
+                self._generation += 1
+                self._work.notify(claimable)
 
     # -- submission ----------------------------------------------------
 
@@ -277,6 +328,7 @@ class JobStore:
                      now, deadline_at),
                 )
             self._conn.commit()
+        self._announce(len(jobs))
         service_crash("store.crash_commit", key=analysis_id)
         return {"id": analysis_id, "deduped": False,
                 "total_jobs": len(jobs)}
@@ -548,6 +600,7 @@ class JobStore:
                 self._record_transition(analysis_id, key, "running",
                                         "queued", now)
             self._conn.commit()
+        self._announce(updated)
         return bool(updated)
 
     def _requeue_running_locked(self, rows, now: float,
@@ -620,6 +673,7 @@ class JobStore:
             recovered = self._requeue_running_locked(
                 rows, now, "process died while this job was running")
             self._conn.commit()
+        self._announce(sum(job["requeued"] for job in recovered))
         return len(recovered)
 
     def reap_expired(self) -> list[dict]:
@@ -649,6 +703,7 @@ class JobStore:
                 rows, now,
                 "lease expired: worker presumed hung or dead")
             self._conn.commit()
+        self._announce(sum(job["requeued"] for job in reaped))
         return reaped
 
     def expire_deadlines(self) -> list[dict]:
@@ -784,6 +839,7 @@ class JobStore:
                 self._record_transition(analysis_id, row["key"],
                                         "quarantined", "queued", now)
             self._conn.commit()
+        self._announce(len(rows))
         return len(rows)
 
     # -- the worker fleet ----------------------------------------------

@@ -2,12 +2,14 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.core.config import DistribConfig, ServiceConfig
+from repro.service import api
 from repro.service.api import AnalysisService, make_server
 from repro.service.client import ServiceClient
 from tests.service._specs import echo_spec
@@ -75,12 +77,39 @@ class TestClaiming:
         assert body["total"] == 1
         assert body["claims"][0]["worker"] == "w1"
 
-    def test_empty_queue_is_a_poll_hint_not_an_error(self, service):
+    def test_empty_queue_reports_the_wait_it_honoured(self, service):
         status, body, _ = raw(service, "POST", "/v1/claims",
                               {"worker": "w1"})
         assert status == 200
-        assert body["claim"] is None
-        assert body["retry_after_seconds"] > 0
+        assert body == {"claim": None, "wait_seconds": 0.0}
+        status, body, _ = raw(service, "POST", "/v1/claims",
+                              {"worker": "w1", "wait_seconds": 0.05})
+        assert status == 200
+        assert body == {"claim": None, "wait_seconds": 0.05}
+
+    def test_wait_is_capped_by_the_server(self, service, monkeypatch):
+        monkeypatch.setattr(api, "MAX_CLAIM_WAIT_SECONDS", 0.1)
+        started = time.monotonic()
+        status, body, _ = raw(service, "POST", "/v1/claims",
+                              {"worker": "w1", "wait_seconds": 30})
+        assert status == 200
+        assert body == {"claim": None, "wait_seconds": 0.1}
+        assert time.monotonic() - started < 5.0
+
+    def test_long_poll_returns_the_job_that_arrives(self, service):
+        answers = []
+        poller = threading.Thread(target=lambda: answers.append(raw(
+            service, "POST", "/v1/claims",
+            {"worker": "w1", "wait_seconds": 5.0})))
+        poller.start()
+        time.sleep(0.2)
+        started = time.monotonic()
+        submit(service, [7], name="late")
+        poller.join(timeout=10)
+        assert time.monotonic() - started < 0.5
+        [(status, body, _)] = answers
+        assert status == 200
+        assert body["claim"]["payload"]["params"] == {"value": 7}
 
     def test_bad_claim_inputs_are_400(self, service):
         status, _, _ = raw(service, "POST", "/v1/claims", {"worker": 42})
@@ -88,6 +117,13 @@ class TestClaiming:
         status, _, _ = raw(service, "POST", "/v1/claims",
                            {"worker": "w1", "lease_seconds": -1})
         assert status == 400
+
+    @pytest.mark.parametrize("wait", [-1, -0.5, "1", True, None, [1]])
+    def test_bad_wait_seconds_is_400(self, service, wait):
+        status, body, _ = raw(service, "POST", "/v1/claims",
+                              {"worker": "w1", "wait_seconds": wait})
+        assert status == 400
+        assert "wait_seconds" in body["error"]
 
     def test_claim_rate_shed_is_429_with_retry_after(self, tmp_path):
         service = make_service(

@@ -72,3 +72,8 @@ def stats_task(payload: dict) -> dict:
             "incremental": False, "compile_cached": False,
         },
     }
+
+
+def pid_task(payload: dict) -> dict:
+    """Report which process ran the job (warm-worker reuse tests)."""
+    return {"pid": os.getpid(), "echo": payload["params"].get("value")}

@@ -11,10 +11,11 @@ and asserts the two are bit-identical per job key.  Along the way it
 exercises the operational surface: ``/healthz``, ``/metricz`` (the
 service counters must account for the submitted jobs), idempotent
 resubmission, and a graceful SIGTERM shutdown (exit 0, nothing left
-running in the store).  A second server run then drives the
-supervision layer: a ``worker.hang`` fault wedges one job far past a
-short lease, the reaper must requeue it, and the recovered sweep must
-still match the direct run bit for bit.
+running in the store, and none of the server's worker processes --
+recorded from ``/proc`` while it ran -- outliving it).  A second server
+run then drives the supervision layer: a ``worker.hang`` fault wedges
+one job far past a short lease, the reaper must requeue it, and the
+recovered sweep must still match the direct run bit for bit.
 
 Exit code 0 on success, 1 with a diagnostic on any failure.
 
@@ -31,6 +32,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -113,6 +115,77 @@ def start_server(workdir: Path, extra_args: list[str] | None = None,
     raise RuntimeError("server never wrote its state file")
 
 
+def _stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name, or None.
+
+    Index 0 is the state, 1 the parent pid, 19 the start time.
+    """
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+class ChildWatch:
+    """Record a process's children from ``/proc`` until stopped.
+
+    Children are kept as ``(pid, start time)`` so a recycled pid is not
+    mistaken for a survivor.  Linux only: elsewhere nothing is seen.
+    """
+
+    def __init__(self, parent: int, interval: float = 0.05):
+        self.parent = str(parent)
+        self.seen: set[tuple[int, str]] = set()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, args=(interval,), daemon=True)
+        self._thread.start()
+
+    def _run(self, interval: float) -> None:
+        if not os.path.isdir("/proc"):
+            return
+        while not self._stop.wait(interval):
+            for entry in os.listdir("/proc"):
+                fields = _stat(int(entry)) if entry.isdigit() else None
+                if fields and fields[1] == self.parent:
+                    self.seen.add((int(entry), fields[19]))
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join()
+
+    def survivors(self) -> list[int]:
+        """Recorded children still running (not exited or zombie)."""
+        alive = []
+        for pid, started in sorted(self.seen):
+            fields = _stat(pid)
+            if fields and fields[19] == started and fields[0] != "Z":
+                alive.append(pid)
+        return alive
+
+
+def stop_server(proc, watch: ChildWatch, timeout: float,
+                scenario: str) -> int | None:
+    """SIGTERM the server; it must exit 0 and leave no child behind.
+
+    Returns ``None`` on success, or an exit code from :func:`_fail`.
+    """
+    proc.send_signal(signal.SIGTERM)
+    code = proc.wait(timeout=timeout)
+    watch.stop()
+    if code != 0:
+        return _fail(f"{scenario}server exited {code} on SIGTERM")
+    if sys.platform.startswith("linux") and not watch.seen:
+        return _fail(f"{scenario}no worker process of the server was "
+                     f"ever seen; the orphan check proved nothing")
+    survivors = watch.survivors()
+    if survivors:
+        return _fail(f"{scenario}worker process(es) {survivors} outlived "
+                     f"the server's SIGTERM exit")
+    return None
+
+
 def hung_worker_scenario(root: Path, spec_doc: dict,
                          direct_by_key: dict) -> int | None:
     """Supervision smoke: a hung worker's job is reaped and re-run.
@@ -148,6 +221,7 @@ def hung_worker_scenario(root: Path, spec_doc: dict,
                     "--lease-seconds", "3.0", "--reap-interval", "0.5"],
         extra_env={"REPRO_CHAOS_HANG_SECONDS": "12.0"},
     )
+    watch = ChildWatch(proc.pid)
     try:
         client = ServiceClient(url, client_id="smoke-hang")
         accepted = client.submit(spec_doc)
@@ -170,12 +244,8 @@ def hung_worker_scenario(root: Path, spec_doc: dict,
             return _fail(f"hung-worker scenario: reaper never fired: "
                          f"{counters}")
     finally:
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=120)
-    if code != 0:
-        return _fail(f"hung-worker scenario: server exited {code} on "
-                     f"SIGTERM")
-    return None
+        stopped = stop_server(proc, watch, 120, "hung-worker scenario: ")
+    return stopped
 
 
 def main() -> int:
@@ -197,6 +267,7 @@ def main() -> int:
 
         # 2. The same spec over HTTP against a real server process.
         proc, url = start_server(root / "svc")
+        watch = ChildWatch(proc.pid)
         try:
             client = ServiceClient(url, client_id="smoke")
             health = client.health()
@@ -240,10 +311,9 @@ def main() -> int:
             if counters.get("service.http_requests", 0) < 4:
                 return _fail(f"metricz undercounts requests: {counters}")
         finally:
-            proc.send_signal(signal.SIGTERM)
-            code = proc.wait(timeout=60)
-        if code != 0:
-            return _fail(f"server exited {code} on SIGTERM")
+            stopped = stop_server(proc, watch, 60, "")
+        if stopped is not None:
+            return stopped
 
         # 5. Supervision: a hung worker loses its job to the reaper and
         # the re-run is still bit-identical to the direct path.
@@ -253,7 +323,8 @@ def main() -> int:
 
     print(f"service smoke ok: {len(direct_by_key)} jobs bit-identical "
           f"over HTTP (including after a hung-worker reap), "
-          f"healthz/metricz consistent, clean shutdown")
+          f"healthz/metricz consistent, clean shutdown with no "
+          f"orphaned workers")
     return 0
 
 
