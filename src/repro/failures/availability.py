@@ -26,7 +26,13 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
 * **Persistent memoization** -- delivered flow is content-addressed by
   ``(topology, demands, paths, scenario)`` through
   :mod:`repro.runner.cache`, so repeated campaigns (threshold sweeps,
-  service resubmissions) skip already-solved scenarios entirely.
+  service resubmissions) skip already-solved scenarios entirely.  The
+  key is built from the sampled failure-matrix row
+  (:meth:`ScenarioSampler.delivered_keyer`) yet equals
+  :func:`scenario_cache_key` of the scenario's document, so no
+  scenario object or document exists for a cache hit.  The healthy
+  flow is memoized per instance in the same cache, so a warm re-run
+  solves no LP at all.  Without a cache no key is computed.
 * **Adaptive stopping** -- an optional ``ci_width`` target keeps
   drawing rounds of samples until the normal-approximation confidence
   interval on availability is narrow enough.
@@ -40,6 +46,7 @@ completes -- with values identical to a fault-free run, because
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import os
@@ -58,7 +65,12 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.paths.pathset import PathSet
 from repro.resilience.faults import FaultPlan, injected, maybe_fire
-from repro.runner.cache import ResultCache, job_key
+from repro.runner.cache import (
+    CODE_SALT,
+    ResultCache,
+    canonical_json,
+    job_key,
+)
 from repro.runner.executor import run_sweep
 from repro.runner.jobs import Job
 from repro.te.total_flow import TotalFlowTE
@@ -164,6 +176,15 @@ class ScenarioSampler:
         )[0]
         self._indep_cols = np.nonzero(self._indep_col >= 0)[0]
 
+        # scenario_doc order: the failed links of any row, taken in
+        # this column order, are already its sorted ``[u, v, link]``
+        # triples, so no per-row sort is needed.
+        triples = [[*lag_key(*key), idx] for key, idx in self.links]
+        self._doc_order = np.asarray(
+            sorted(range(len(triples)), key=triples.__getitem__),
+            dtype=np.intp)
+        self._doc_triples = [triples[j] for j in self._doc_order]
+
     @property
     def num_links(self) -> int:
         """Columns of the failure matrix (every link of every LAG)."""
@@ -188,6 +209,55 @@ class ScenarioSampler:
     def scenario_for(self, row: np.ndarray) -> FailureScenario:
         """The :class:`FailureScenario` a failure-matrix row encodes."""
         return FailureScenario(self.links[j] for j in np.nonzero(row)[0])
+
+    def in_doc_order(self, matrix: np.ndarray) -> np.ndarray:
+        """``matrix`` with its columns in :func:`scenario_doc` order.
+
+        The failed *positions* of a reordered row (its nonzero column
+        indices, ascending) address the methods below.
+        """
+        return matrix[:, self._doc_order]
+
+    def doc_at(self, positions) -> list:
+        """``scenario_doc`` of the row failing ``positions``."""
+        return [list(self._doc_triples[p]) for p in positions]
+
+    def scenario_at(self, positions) -> FailureScenario:
+        """``scenario_for`` of the row failing ``positions``."""
+        return FailureScenario(self.links[self._doc_order[p]]
+                               for p in positions)
+
+    def delivered_keyer(self, instance_key: str):
+        """A function from failed positions to the delivered-flow key.
+
+        ``keyer(positions)`` equals ``scenario_cache_key(instance_key,
+        doc_at(positions))`` without building the document: the
+        canonical JSON of a scenario is a fixed prefix, the per-link
+        fragments of its failed links joined by ``,``, and a fixed
+        suffix.  Prefix, suffix and fragments all come from
+        :func:`canonical_json` itself, so key order and string escaping
+        match :func:`job_key` byte for byte.
+        """
+        marker = '"scenario":[]'
+        template = canonical_json({
+            "task": "availability.delivered",
+            "instance": instance_key,
+            "scenario": [],
+        })
+        prefix, _, suffix = template.partition(marker)
+        head = hashlib.sha256(
+            f"{CODE_SALT}\0{prefix}{marker[:-1]}".encode("utf-8"))
+        tail = f"]{suffix}".encode("utf-8")
+        fragments = [canonical_json(triple).encode("utf-8")
+                     for triple in self._doc_triples]
+
+        def keyer(positions) -> str:
+            digest = head.copy()
+            digest.update(b",".join([fragments[p] for p in positions]))
+            digest.update(tail)
+            return digest.hexdigest()
+
+        return keyer
 
 
 def scenario_doc(scenario: FailureScenario) -> list:
@@ -460,6 +530,28 @@ def estimate_availability_parallel(
                          runner_config, workers, tracer)
 
 
+def _healthy_flow(topology, demands, paths, cache: ResultCache | None,
+                  instance_key: str | None) -> float:
+    """The design point's delivered traffic, memoized per instance.
+
+    With a cache the flow is stored under its own content address, so a
+    warm re-run of any campaign on the instance skips the LP entirely
+    (JSON round-trips the float exactly).
+    """
+    key = None
+    if cache is not None:
+        key = job_key({"task": "availability.healthy",
+                       "instance": instance_key})
+        hit = cache.get(key)
+        if hit is not None:
+            return float(hit["healthy_flow"])
+    flow = TotalFlowTE(primary_only=True).solve(
+        topology, demands, paths).total_flow
+    if cache is not None:
+        cache.put(key, {"healthy_flow": flow})
+    return flow
+
+
 def _estimate(topology, demands, paths, config, cache, runner_config,
               workers, tracer) -> AvailabilityEstimate:
     ser = _ser()
@@ -468,7 +560,8 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         "demands": ser.demands_to_dict(demands),
         "paths": ser.paths_to_dict(paths),
     }
-    instance_key = job_key(instance)
+    # Keys are only ever needed to talk to a cache.
+    instance_key = job_key(instance) if cache is not None else None
     evaluator = _ChunkEvaluator(instance, workers, runner_config, tracer)
     z = NormalDist().inv_cdf(0.5 + config.ci_confidence / 2.0)
     adaptive = config.ci_width is not None
@@ -479,16 +572,20 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         "availability", samples=config.samples, workers=workers,
         adaptive=adaptive,
     ) as span:
-        healthy = TotalFlowTE(primary_only=True).solve(
-            topology, demands, paths
-        )
-        healthy_flow = healthy.total_flow
+        healthy_flow = _healthy_flow(topology, demands, paths, cache,
+                                     instance_key)
         sampler = ScenarioSampler(topology)
+        keyer = sampler.delivered_keyer(instance_key) \
+            if cache is not None else None
         rng = np.random.default_rng(config.seed)
 
+        # Scenarios are tracked by the bytes of their failure-matrix row
+        # (columns in scenario_doc order); per distinct row only its
+        # failed positions and, with a cache, its key are kept.  Docs
+        # are built for misses alone, a FailureScenario for the worst.
         sample_rows: list[bytes] = []      # per sample, in draw order
-        scenario_by_row: dict[bytes, FailureScenario] = {}
-        doc_by_row: dict[bytes, list] = {}
+        positions_by_row: dict[bytes, list[int]] = {}
+        key_by_row: dict[bytes, str] = {}
         delivered_by_row: dict[bytes, float] = {}
         cache_hits = 0
         fresh_rows: list[bytes] = []
@@ -500,29 +597,33 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             batch = min(config.samples, max_samples - len(sample_rows))
             rounds += 1
             with tracer.span("availability.sample", batch=batch):
-                matrix = sampler.sample(rng, batch)
+                matrix = sampler.in_doc_order(sampler.sample(rng, batch))
+                failed = np.nonzero(matrix)[1].tolist()
+                ends = np.cumsum(matrix.sum(axis=1)).tolist()
+                blob, size = matrix.tobytes(), matrix.shape[1]
                 pending: list[bytes] = []
-                for row in matrix:
-                    key = row.tobytes()
-                    sample_rows.append(key)
-                    if key not in scenario_by_row:
-                        scenario_by_row[key] = sampler.scenario_for(row)
-                        doc_by_row[key] = scenario_doc(
-                            scenario_by_row[key])
-                        pending.append(key)
+                start = 0
+                for index, end in enumerate(ends):
+                    row = blob[index * size:(index + 1) * size]
+                    sample_rows.append(row)
+                    if row not in positions_by_row:
+                        positions_by_row[row] = failed[start:end]
+                        pending.append(row)
+                    start = end
 
             # Persistent memoization: answer what we can from the
             # delivered-flow cache, chunk only the misses.
             misses: list[bytes] = []
-            for key in pending:
+            for row in pending:
                 if cache is not None:
-                    hit = cache.get(
-                        scenario_cache_key(instance_key, doc_by_row[key]))
+                    key = keyer(positions_by_row[row])
+                    hit = cache.get(key)
                     if hit is not None:
-                        delivered_by_row[key] = float(hit["delivered"])
+                        delivered_by_row[row] = float(hit["delivered"])
                         cache_hits += 1
                         continue
-                misses.append(key)
+                    key_by_row[row] = key
+                misses.append(row)
 
             if misses:
                 chunks = [
@@ -533,25 +634,23 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                                  scenarios=len(misses),
                                  chunks=len(chunks)):
                     per_chunk = evaluator.evaluate(
-                        [[doc_by_row[key] for key in chunk]
+                        [[sampler.doc_at(positions_by_row[row])
+                          for row in chunk]
                          for chunk in chunks],
                         start_index=chunks_dispatched,
                     )
                 chunks_dispatched += len(chunks)
                 for chunk, values in zip(chunks, per_chunk):
-                    for key, value in zip(chunk, values):
-                        delivered_by_row[key] = value
-                        fresh_rows.append(key)
+                    for row, value in zip(chunk, values):
+                        delivered_by_row[row] = value
+                        fresh_rows.append(row)
                         if cache is not None:
-                            cache.put(
-                                scenario_cache_key(
-                                    instance_key, doc_by_row[key]),
-                                {"delivered": value},
-                            )
+                            cache.put(key_by_row.pop(row),
+                                      {"delivered": value})
 
             degradations = [
-                healthy_flow - delivered_by_row[key]
-                for key in sample_rows
+                healthy_flow - delivered_by_row[row]
+                for row in sample_rows
             ]
             width = _ci_width(degradations, healthy_flow, z)
             if not adaptive:
@@ -561,7 +660,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
 
         span.set(
             total_samples=len(sample_rows),
-            distinct_scenarios=len(scenario_by_row),
+            distinct_scenarios=len(positions_by_row),
             cache_hits=cache_hits,
             fresh_solves=len(fresh_rows),
             chunk_fallbacks=evaluator.chunk_fallbacks,
@@ -569,7 +668,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         )
 
     metrics().counter("availability.samples").inc(len(sample_rows))
-    metrics().counter("availability.distinct").inc(len(scenario_by_row))
+    metrics().counter("availability.distinct").inc(len(positions_by_row))
     metrics().counter("availability.cache_hits").inc(cache_hits)
     metrics().counter("availability.fresh_solves").inc(len(fresh_rows))
 
@@ -586,11 +685,12 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             np.mean(array > config.degradation_threshold)
         ),
         worst_sampled=float(array.max()),
-        worst_scenario=scenario_by_row[sample_rows[worst_index]],
+        worst_scenario=sampler.scenario_at(
+            positions_by_row[sample_rows[worst_index]]),
         samples=len(sample_rows),
         healthy_flow=healthy_flow,
         degradations=[float(d) for d in degradations],
-        distinct_scenarios=len(scenario_by_row),
+        distinct_scenarios=len(positions_by_row),
         cache_hits=cache_hits,
         fresh_solves=len(fresh_rows),
         chunk_fallbacks=evaluator.chunk_fallbacks,

@@ -163,6 +163,10 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # get/put build entry paths by string concatenation: a warm
+        # campaign reads thousands of entries, and pathlib's joins cost
+        # more than the read itself.
+        self._prefix = os.path.join(os.fspath(self.root), "")
 
     def path_for(self, key: str) -> Path:
         """Where a key's result document lives."""
@@ -197,7 +201,7 @@ class ResultCache:
         would otherwise silently return the wrong job's result.  A
         mismatch quarantines the entry like any other corruption.
         """
-        path = self.path_for(key)
+        path = f"{self._prefix}{key}.json"
         try:
             with open(path) as handle:
                 text = handle.read()
@@ -240,7 +244,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(body)
-            os.replace(tmp, self.path_for(key))
+            os.replace(tmp, f"{self._prefix}{key}.json")
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -389,7 +393,7 @@ class ResultCache:
         except OSError:
             return False
 
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
+    def _quarantine(self, key: str, path: str, reason: str) -> None:
         """Move a corrupt entry aside so it cannot poison the key again."""
         target = self.quarantine_path_for(key)
         try:
@@ -404,6 +408,6 @@ class ResultCache:
             target = None
         logger.warning(
             "cache entry %s is corrupt (%s); quarantined to %s and "
-            "treated as a miss", path.name, reason,
+            "treated as a miss", os.path.basename(path), reason,
             target.name if target is not None else "nowhere (deleted)",
         )
