@@ -32,7 +32,9 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
   :func:`scenario_cache_key` of the scenario's document, so no
   scenario object or document exists for a cache hit.  The healthy
   flow is memoized per instance in the same cache, so a warm re-run
-  solves no LP at all.  Without a cache no key is computed.
+  solves no LP at all.  Without a cache no key is computed.  Fresh
+  entries are written behind the solves (:meth:`ResultCache.writer`)
+  and are all on disk when the estimate returns.
 * **Adaptive stopping** -- an optional ``ci_width`` target keeps
   drawing rounds of samples until the normal-approximation confidence
   interval on availability is narrow enough.
@@ -50,6 +52,7 @@ import hashlib
 import logging
 import math
 import os
+from collections.abc import Iterator
 from contextlib import nullcontext
 from statistics import NormalDist
 
@@ -290,23 +293,25 @@ class _ChunkFault(RuntimeError):
 
 
 def _resolve_chunk(make_resolver, docs: list,
-                   chunk_index: int | None = None) -> list[float]:
-    """Delivered flow for each scenario document, in order.
+                   chunk_index: int | None = None) -> Iterator[float]:
+    """Delivered flow for each scenario document, in order, each one
+    solved as the iterator reaches it.
 
     ``make_resolver`` returns the :class:`ScenarioResolver` to use; it
     is called only after the chaos check, so a faulted chunk never pays
     for a compile.  With a ``chunk_index``, the ``availability.chunk``
-    chaos site is checked first and raises :class:`_ChunkFault`; it is
-    keyed by chunk index only (no attempt), so a plan targeting it
-    fails *every* retry and the fallback takes over.  The fallback
-    passes no index: it is the path that must not fail.
+    chaos site is checked first, by this call itself, and raises
+    :class:`_ChunkFault`; it is keyed by chunk index only (no attempt),
+    so a plan targeting it fails *every* retry and the fallback takes
+    over.  The fallback passes no index: it is the path that must not
+    fail.
     """
     if chunk_index is not None and maybe_fire(
             "availability.chunk", key=f"chunk:{chunk_index}"):
         raise _ChunkFault("chaos: injected availability chunk failure")
     resolver = make_resolver()
-    return [float(resolver.delivered(scenario_from_doc(doc)))
-            for doc in docs]
+    return (float(resolver.delivered(scenario_from_doc(doc)))
+            for doc in docs)
 
 
 def availability_chunk_task(payload: dict) -> dict:
@@ -317,11 +322,11 @@ def availability_chunk_task(payload: dict) -> dict:
     chunk (see :func:`_resolve_chunk` for the chaos site).
     """
     params = payload["params"]
-    delivered = _resolve_chunk(
+    delivered = list(_resolve_chunk(
         lambda: ScenarioResolver(*_instance_from_docs(payload["instance"])),
         params["scenarios"],
         params["chunk_index"],
-    )
+    ))
     return {"chunk_index": params["chunk_index"], "delivered": delivered}
 
 
@@ -403,33 +408,34 @@ class _ChunkEvaluator:
                 *_instance_from_docs(self.instance))
         return self._resolver
 
-    def _fallback(self, docs: list) -> list[float]:
+    def _fallback(self, docs: list) -> Iterator[float]:
         self.chunk_fallbacks += 1
         metrics().counter("availability.chunk_fallbacks").inc()
         return _resolve_chunk(self._parent_resolver, docs)
 
     def evaluate(self, chunks: list[list], start_index: int
-                 ) -> list[list[float]]:
-        """Delivered flows per chunk, in chunk order."""
+                 ) -> Iterator[float]:
+        """Delivered flow of every scenario, chunk after chunk, each as
+        soon as it is known: per scenario in-process, per chunk from a
+        worker pool."""
         if not chunks:
-            return []
+            return iter(())
         if self.workers == 1:
             return self._evaluate_local(chunks, start_index)
         return self._evaluate_pool(chunks, start_index)
 
     def _evaluate_local(self, chunks, start_index):
-        out = []
         for offset, docs in enumerate(chunks):
             try:
-                out.append(_resolve_chunk(self._parent_resolver, docs,
-                                          start_index + offset))
+                values = _resolve_chunk(self._parent_resolver, docs,
+                                        start_index + offset)
             except _ChunkFault:
                 # In-process there is no worker to lose: the fault
                 # degrades straight to the fallback path (counted, so
                 # chaos tests can assert it fired) with identical
                 # values, because the resolver is deterministic.
-                out.append(self._fallback(docs))
-        return out
+                values = self._fallback(docs)
+            yield from values
 
     def _evaluate_pool(self, chunks, start_index):
         jobs = [
@@ -455,7 +461,6 @@ class _ChunkEvaluator:
             handle_signals=False,
         )
         by_key = {o.job.key: o for o in outcome.outcomes}
-        out = []
         for offset, (job, docs) in enumerate(zip(jobs, chunks)):
             settled = by_key.get(job.key)
             if settled is not None and settled.ok:
@@ -466,7 +471,7 @@ class _ChunkEvaluator:
                         f"{len(delivered)} values for {len(docs)} "
                         f"scenarios"
                     )
-                out.append([float(d) for d in delivered])
+                yield from (float(d) for d in delivered)
                 continue
             error = settled.error if settled is not None \
                 else "chunk did not settle (drained)"
@@ -475,8 +480,7 @@ class _ChunkEvaluator:
                 "re-evaluating its %d scenario(s) in the parent",
                 start_index + offset, error, len(docs),
             )
-            out.append(self._fallback(docs))
-        return out
+            yield from self._fallback(docs)
 
 
 def estimate_availability_parallel(
@@ -531,12 +535,13 @@ def estimate_availability_parallel(
 
 
 def _healthy_flow(topology, demands, paths, cache: ResultCache | None,
-                  instance_key: str | None) -> float:
+                  instance_key: str | None, write) -> float:
     """The design point's delivered traffic, memoized per instance.
 
-    With a cache the flow is stored under its own content address, so a
-    warm re-run of any campaign on the instance skips the LP entirely
-    (JSON round-trips the float exactly).
+    With a cache the flow is stored (through ``write``, the cache's
+    write-behind) under its own content address, so a warm re-run of
+    any campaign on the instance skips the LP entirely (JSON round-trips
+    the float exactly).
     """
     key = None
     if cache is not None:
@@ -548,7 +553,7 @@ def _healthy_flow(topology, demands, paths, cache: ResultCache | None,
     flow = TotalFlowTE(primary_only=True).solve(
         topology, demands, paths).total_flow
     if cache is not None:
-        cache.put(key, {"healthy_flow": flow})
+        write(key, {"healthy_flow": flow})
     return flow
 
 
@@ -568,12 +573,15 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
     max_samples = config.resolved_max_samples() if adaptive \
         else config.samples
 
+    # Fresh results are written behind the solves, on the cache's one
+    # writer thread; every write has landed when the block is left.
     with tracer.span(
         "availability", samples=config.samples, workers=workers,
         adaptive=adaptive,
-    ) as span:
+    ) as span, (cache.writer() if cache is not None
+                else nullcontext()) as write:
         healthy_flow = _healthy_flow(topology, demands, paths, cache,
-                                     instance_key)
+                                     instance_key, write)
         sampler = ScenarioSampler(topology)
         keyer = sampler.delivered_keyer(instance_key) \
             if cache is not None else None
@@ -633,20 +641,18 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                 with tracer.span("availability.evaluate",
                                  scenarios=len(misses),
                                  chunks=len(chunks)):
-                    per_chunk = evaluator.evaluate(
+                    values = evaluator.evaluate(
                         [[sampler.doc_at(positions_by_row[row])
                           for row in chunk]
                          for chunk in chunks],
                         start_index=chunks_dispatched,
                     )
-                chunks_dispatched += len(chunks)
-                for chunk, values in zip(chunks, per_chunk):
-                    for row, value in zip(chunk, values):
+                    for row, value in zip(misses, values, strict=True):
                         delivered_by_row[row] = value
                         fresh_rows.append(row)
                         if cache is not None:
-                            cache.put(key_by_row.pop(row),
-                                      {"delivered": value})
+                            write(key_by_row.pop(row), {"delivered": value})
+                chunks_dispatched += len(chunks)
 
             degradations = [
                 healthy_flow - delivered_by_row[row]

@@ -37,7 +37,7 @@ from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
 from repro.obs.metrics import metrics
 from repro.paths.pathset import PathSet
-from repro.resilience.faults import maybe_fire
+from repro.resilience.faults import active_plan, maybe_fire
 from repro.solver import LinExpr, Model
 from repro.te.base import validate_te_inputs
 
@@ -305,7 +305,9 @@ class ScenarioResolver:
         """
         rhs_overrides, bound_overrides = self._patches(scenario)
         failure = None
-        if maybe_fire("resolver.resolve", key=repr(scenario)):
+        # The chaos key is the scenario's repr, built only under a plan.
+        if active_plan() is not None and maybe_fire(
+                "resolver.resolve", key=repr(scenario)):
             failure = "chaos-injected resolver failure"
         else:
             try:

@@ -40,7 +40,8 @@ import json
 import logging
 import math
 import os
-import tempfile
+import queue
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,9 +60,10 @@ CODE_SALT = "raha-runner-v1"
 FOOTER_PREFIX = "sha256:"
 
 #: How long an orphaned ``*.tmp`` write may sit before :meth:`prune`
-#: sweeps it.  ``put`` stages entries as ``mkstemp`` temp files and
-#: atomically renames them into place; a process killed between the two
-#: steps leaves a ``.tmp`` file that no glob of ``*.json`` ever sees, so
+#: sweeps it.  ``put`` stages entries as ``*.tmp`` files (one name per
+#: key, process and thread) and atomically renames them into place; a
+#: process killed between the two steps leaves a ``.tmp`` file that no
+#: glob of ``*.json`` ever sees, so
 #: without the sweep the debris is invisible to ``stats()`` and
 #: unreclaimable forever.  The grace period keeps a *live* concurrent
 #: ``put`` (created moments ago, rename imminent) safe from the sweep.
@@ -240,10 +242,17 @@ class ResultCache:
             # atomic replace exists to prevent; injected to prove get()
             # survives it anyway).
             body = line[: max(1, len(line) // 2)]
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        # Staged under a name no other process or thread writes, with
+        # the mode mkstemp would give it, then renamed into place.
+        tmp = f"{self._prefix}{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(body)
+            try:
+                data = memoryview(body.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, f"{self._prefix}{key}.json")
         except BaseException:
             try:
@@ -251,6 +260,16 @@ class ResultCache:
             except OSError:
                 pass
             raise
+
+    def writer(self) -> WriteBehind:
+        """A write-behind for a batch of :meth:`put` calls.
+
+        ``with cache.writer() as write:`` yields ``write(key, result)``,
+        which queues the put for one writer thread and returns at once,
+        so the caller's next computation overlaps the file work.  See
+        :class:`WriteBehind`.
+        """
+        return WriteBehind(self)
 
     def entries(self) -> list[CacheEntry]:
         """Every entry, oldest mtime first (the eviction order).
@@ -275,8 +294,8 @@ class ResultCache:
     def tmp_files(self) -> list[Path]:
         """Staged ``*.tmp`` writes currently on disk.
 
-        Normally transient (a live ``put`` between ``mkstemp`` and the
-        atomic rename); anything old is debris from a crashed writer.
+        Normally transient (a live ``put`` between creating the file and
+        the atomic rename); anything old is debris from a crashed writer.
         """
         return sorted(self.root.glob("*.tmp"))
 
@@ -312,7 +331,7 @@ class ResultCache:
 
         1. *Stale-temp sweep*: orphaned ``*.tmp`` staging files older
            than ``tmp_grace_seconds`` are deleted -- debris from a
-           writer killed between ``mkstemp`` and the atomic rename,
+           writer killed between creating one and the atomic rename,
            which no ``*.json`` glob would ever reclaim.  Younger temp
            files are left alone (they may belong to a live ``put``).
         2. *TTL*: entries whose mtime is older than ``now -
@@ -411,3 +430,53 @@ class ResultCache:
             "treated as a miss", os.path.basename(path), reason,
             target.name if target is not None else "nowhere (deleted)",
         )
+
+
+class WriteBehind:
+    """Puts into one :class:`ResultCache`, made on one writer thread.
+
+    Entered, it yields ``write(key, result)``: the put is queued and the
+    call returns.  The thread starts at the first write, so a block that
+    writes nothing starts none.  Puts run in the order they were queued,
+    with every rule of :meth:`ResultCache.put`.
+
+    Leaving the block waits for every queued put and joins the thread,
+    so all entries are on disk and no thread outlives the block.  The
+    first failed put is re-raised there, also when the block itself
+    raised; once a put has failed, the rest are dropped and ``write``
+    raises that failure, so the caller stops early.
+    """
+
+    def __init__(self, cache: ResultCache):
+        self._cache = cache
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        self._failure: BaseException | None = None
+
+    def __enter__(self):
+        return self.write
+
+    def write(self, key: str, result) -> None:
+        """Queue ``cache.put(key, result)``."""
+        if self._failure is not None:
+            raise self._failure
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._drain, name="cache-writer", daemon=True)
+            self._thread.start()
+        self._queue.put((key, result))
+
+    def _drain(self) -> None:
+        while (item := self._queue.get()) is not None:
+            if self._failure is None:
+                try:
+                    self._cache.put(*item)
+                except BaseException as exc:
+                    self._failure = exc
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._thread is not None:
+            self._queue.put(None)
+            self._thread.join()
+        if self._failure is not None and self._failure is not exc:
+            raise self._failure

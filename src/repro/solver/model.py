@@ -2,14 +2,15 @@
 
 The model accumulates variables and constraints built with the expression
 algebra from :mod:`repro.solver.expr`, compiles them into sparse matrices,
-and hands them to HiGHS as they are: one private function,
-:func:`_run_highs`, passes the model's own ``row_lb <= A x <= row_ub`` rows
-(a CSC copy of the compiled matrix), its column bounds and integrality to
-a fresh instance of the HiGHS binding scipy ships.  LPs and MILPs take the
-same path; an LP also returns one dual per row.  The options are the ones
-scipy's ``linprog`` / ``milp`` front ends would pass, so results match
-those front ends without their per-call input validation and row
-re-stacking.
+and hands them to HiGHS as they are: one private class,
+:class:`_HighsSession`, loads the model's own ``row_lb <= A x <= row_ub``
+rows (a CSC copy of the compiled matrix), its column bounds and
+integrality into one instance of the HiGHS binding scipy ships, once per
+compiled model, and every later solve patches only the bounds it
+overrides.  LPs and MILPs take the same path; an LP also returns one dual
+per row.  The options are the ones scipy's ``linprog`` / ``milp`` front
+ends would pass, so results match those front ends without their
+per-call input validation and row re-stacking.
 
 This is the stand-in for Gurobi in the paper's stack.  It intentionally
 exposes the two solver features the paper's evaluation leans on:
@@ -24,10 +25,10 @@ The hot path is array-backed: constraint coefficients live in COO
 plus one pending Python-list segment fed by scalar :meth:`Model.add_constr`
 calls), and row/variable bounds live in amortized-growth buffers.
 Compilation concatenates the segments straight into a CSR matrix -- no
-per-term Python loop -- and the result (and, from the first solve, its
-CSC copy) is cached on the model until the next mutation, so repeated
-:meth:`Model.solve` / :meth:`Model.resolve_with` calls skip matrix
-assembly entirely.
+per-term Python loop -- and the result (and, from the first solve, the
+HiGHS instance holding it) is cached on the model until the next
+mutation, so repeated :meth:`Model.solve` / :meth:`Model.resolve_with`
+calls skip matrix assembly and model loading entirely.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class _Compiled(NamedTuple):
 
 
 class _HighsOutcome(NamedTuple):
-    """What :func:`_run_highs` read back from HiGHS."""
+    """What :meth:`_HighsSession.run` read back from HiGHS."""
 
     status: SolveStatus
     message: str
@@ -140,94 +141,174 @@ class _HighsOutcome(NamedTuple):
     mip_gap: float | None
 
 
-def _run_highs(
-    a_csc, cost, row_lb, row_ub, var_lb, var_ub, integrality, time_limit,
-    mip_rel_gap,
-) -> _HighsOutcome:
-    """Minimize ``cost @ x`` s.t. ``row_lb <= A x <= row_ub`` and
-    ``var_lb <= x <= var_ub`` with one fresh HiGHS instance.
+_ERROR = _highs.HighsStatus.kError
+# Options each mode sets once, at load: the ones scipy's ``linprog`` /
+# ``milp`` front ends hand HiGHS, so both see the same problem and settle
+# on the same vertex.
+_LP_OPTIONS = (
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("output_flag", False),
+    ("simplex_strategy", _DUAL_SIMPLEX),
+)
+_MILP_OPTIONS = (("log_to_console", False),)
+# Options every run sets, to the call's value or to HiGHS's default.
+_PER_CALL = ("time_limit", "mip_rel_gap")
 
-    ``integrality`` (per-column 0/1) makes it a MILP; ``None`` makes it
-    an LP, which also returns the row duals.  The options are the ones
-    scipy's ``linprog`` / ``milp`` hand HiGHS, so both see the same
-    problem and settle on the same vertex.
-    This is the only place model arrays reach HiGHS, so it is where NaN
-    (which every ``lb > ub`` check lets through) is refused.
+
+def _sides(lo, hi, value: tuple) -> tuple:
+    """``(lo, hi)`` with the non-``None`` sides of ``value`` put in."""
+    new_lo, new_hi = value
+    return (lo if new_lo is None else float(new_lo),
+            hi if new_hi is None else float(new_hi))
+
+
+def _check_patch(what: str, index: int, lo, hi) -> None:
+    """Refuse an overridden ``(lo, hi)`` that is crossed or NaN."""
+    if lo > hi:
+        raise ModelingError(
+            f"override leaves {what} {index} with lb {lo} > ub {hi}"
+        )
+    if lo != lo or hi != hi:
+        side = "lower" if lo != lo else "upper"
+        raise ModelingError(f"{what} {side} bound {index} is NaN")
+
+
+def _set_option(highs, name: str, value) -> None:
+    if highs.setOptionValue(name, value) == _ERROR:
+        raise ModelingError(f"HiGHS rejected option {name}={value!r}")
+
+
+class _HighsSession:
+    """One HiGHS instance loaded with a compiled model, re-solved in place.
+
+    A :class:`Model` builds one per mode (MILP, or LP/relaxation) at the
+    first solve after a compile and drops it on the next mutation.  The
+    model's own ``row_lb <= A x <= row_ub`` rows (a CSC copy of the
+    compiled matrix), its column bounds and, for a MILP, its integrality
+    reach HiGHS in one ``passModel``, after the one NaN check (NaN slips
+    through every ``lb > ub`` check).  :meth:`run` then patches only the
+    bounds a call overrides and restores them afterwards.
+
+    The ``clearSolver`` contract: every ``run()`` is preceded by
+    ``clearSolver()``, which drops the last basis and solution, so each
+    solve starts from the state a fresh instance starts from and returns
+    what a fresh instance would, bit for bit.  (Without it HiGHS would
+    warm-start from the last basis: faster, but not bit-identical.)
     """
-    for what, arr in (
-        ("objective coefficient", cost),
-        ("column lower bound", var_lb),
-        ("column upper bound", var_ub),
-        ("row lower bound", row_lb),
-        ("row upper bound", row_ub),
-    ):
-        nan = np.isnan(arr)
-        if nan.any():
-            raise ModelingError(
-                f"{what} {int(np.flatnonzero(nan)[0])} is NaN"
-            )
-    options: list[tuple[str, object]] = [("log_to_console", False)]
-    if integrality is None:
-        options += [
-            ("presolve", "on"),
-            ("output_flag", False),
-            ("simplex_strategy", _DUAL_SIMPLEX),
-        ]
-    if time_limit is not None:
-        options.append(("time_limit", float(time_limit)))
-    if mip_rel_gap is not None:
-        options.append(("mip_rel_gap", float(mip_rel_gap)))
 
-    m, n = a_csc.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = cost
-    lp.col_lower_ = var_lb
-    lp.col_upper_ = var_ub
-    lp.row_lower_ = row_lb
-    lp.row_upper_ = row_ub
-    matrix = lp.a_matrix_
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.start_ = a_csc.indptr
-    matrix.index_ = a_csc.indices
-    matrix.value_ = a_csc.data
-    if integrality is not None:
-        lp.integrality_ = [_VAR_TYPES[i] for i in integrality.tolist()]
+    __slots__ = ("_highs", "_integer", "_loaded", "_defaults",
+                 "_row_lb", "_row_ub", "_var_lb", "_var_ub")
 
-    highs = _highs._Highs()
-    error = _highs.HighsStatus.kError
-    for name, value in options:
-        if highs.setOptionValue(name, value) == error:
-            raise ModelingError(f"HiGHS rejected option {name}={value!r}")
-    if highs.passModel(lp) == error:
-        status, ran = _MODEL_STATUS.kModelError, False
-    else:
-        ran = highs.run() != error
-        status = highs.getModelStatus()
-    outcome = _STATUS.get(status, SolveStatus.ERROR)
-    message = f"HiGHS: {highs.modelStatusToString(status)}"
-    info = highs.getInfo() if ran else None
-    if not ran:
-        solved = False
-    elif integrality is not None and status in _MIP_STOPPED:
-        # A stopped branch-and-bound holds an incumbent iff its
-        # objective is finite.
-        solved = info.objective_function_value != _highs.kHighsInf
-    else:
-        solved = status == _MODEL_STATUS.kOptimal
-    if not solved:
-        return _HighsOutcome(outcome, message, None, None, None, None)
-    solution = highs.getSolution()
-    is_lp = integrality is None
-    return _HighsOutcome(
-        outcome, message, np.array(solution.col_value),
-        info.objective_function_value,
-        np.array(solution.row_dual, dtype=np.float64) if is_lp else None,
-        None if is_lp else float(info.mip_gap),
-    )
+    def __init__(self, a_csc, cost, compiled: _Compiled, integer: bool):
+        for what, arr in (
+            ("objective coefficient", cost),
+            ("column lower bound", compiled.var_lb),
+            ("column upper bound", compiled.var_ub),
+            ("row lower bound", compiled.row_lb),
+            ("row upper bound", compiled.row_ub),
+        ):
+            nan = np.isnan(arr)
+            if nan.any():
+                raise ModelingError(
+                    f"{what} {int(np.flatnonzero(nan)[0])} is NaN"
+                )
+        m, n = a_csc.shape
+        lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = m
+        lp.col_cost_ = cost
+        lp.col_lower_ = compiled.var_lb
+        lp.col_upper_ = compiled.var_ub
+        lp.row_lower_ = compiled.row_lb
+        lp.row_upper_ = compiled.row_ub
+        matrix = lp.a_matrix_
+        matrix.num_col_ = n
+        matrix.num_row_ = m
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.start_ = a_csc.indptr
+        matrix.index_ = a_csc.indices
+        matrix.value_ = a_csc.data
+        if integer:
+            lp.integrality_ = [
+                _VAR_TYPES[i] for i in compiled.integrality.tolist()
+            ]
+        highs = _highs._Highs()
+        for name, value in _MILP_OPTIONS if integer else _LP_OPTIONS:
+            _set_option(highs, name, value)
+        self._defaults = [highs.getOptionValue(name)[1] for name in _PER_CALL]
+        # A model HiGHS rejects reads as kModelError on every solve.
+        self._loaded = highs.passModel(lp) != _ERROR
+        self._highs = highs
+        self._integer = integer
+        self._row_lb, self._row_ub = compiled.row_lb, compiled.row_ub
+        self._var_lb, self._var_ub = compiled.var_lb, compiled.var_ub
+
+    def run(self, time_limit, mip_rel_gap, rows=None, cols=None
+            ) -> _HighsOutcome:
+        """Minimize with ``rows`` and ``cols`` (``{index: (lb, ub)}``)
+        patched over the loaded bounds, which are restored afterwards.
+
+        A bound HiGHS refuses (an infinite lower bound, say) reads as
+        kModelError, as it does when a whole model is refused.
+        """
+        highs = self._highs
+        for name, value, default in zip(
+                _PER_CALL, (time_limit, mip_rel_gap), self._defaults):
+            _set_option(highs, name, default if value is None else float(value))
+        rows = rows or {}
+        index = bounds = None
+        if cols:
+            index = np.fromiter(cols, dtype=np.int32, count=len(cols))
+            bounds = np.array(list(cols.values()), dtype=np.float64)
+        try:
+            if self._loaded and self._patch(rows, index, bounds):
+                highs.clearSolver()
+                ran = highs.run() != _ERROR
+                status = highs.getModelStatus()
+            else:
+                status, ran = _MODEL_STATUS.kModelError, False
+            return self._read(status, ran)
+        finally:
+            for i in rows:
+                highs.changeRowBounds(i, self._row_lb[i], self._row_ub[i])
+            if index is not None:
+                highs.changeColsBounds(index.size, index,
+                                       self._var_lb[index],
+                                       self._var_ub[index])
+
+    def _patch(self, rows, index, bounds) -> bool:
+        """Apply the overrides; ``False`` if HiGHS refused one."""
+        highs = self._highs
+        for i, (lo, hi) in rows.items():
+            if highs.changeRowBounds(i, lo, hi) == _ERROR:
+                return False
+        return index is None or highs.changeColsBounds(
+            index.size, index, bounds[:, 0], bounds[:, 1]) != _ERROR
+
+    def _read(self, status, ran: bool) -> _HighsOutcome:
+        highs = self._highs
+        outcome = _STATUS.get(status, SolveStatus.ERROR)
+        message = f"HiGHS: {highs.modelStatusToString(status)}"
+        info = highs.getInfo() if ran else None
+        if not ran:
+            solved = False
+        elif self._integer and status in _MIP_STOPPED:
+            # A stopped branch-and-bound holds an incumbent iff its
+            # objective is finite.
+            solved = info.objective_function_value != _highs.kHighsInf
+        else:
+            solved = status == _MODEL_STATUS.kOptimal
+        if not solved:
+            return _HighsOutcome(outcome, message, None, None, None, None)
+        solution = highs.getSolution()
+        is_lp = not self._integer
+        return _HighsOutcome(
+            outcome, message, np.array(solution.col_value),
+            info.objective_function_value,
+            np.array(solution.row_dual, dtype=np.float64) if is_lp else None,
+            None if is_lp else float(info.mip_gap),
+        )
 
 
 class Model:
@@ -270,9 +351,10 @@ class Model:
         self._num_batch_rows = 0
 
         self._compiled: _Compiled | None = None
-        # CSC copy of the compiled matrix, the layout HiGHS takes; built
-        # at the first solve after each compile.
-        self._csc: sparse.csc_matrix | None = None
+        # The HiGHS instances holding the compiled model, keyed by
+        # whether they solve it as a MILP; built at the first solve of
+        # each mode after a compile.
+        self._sessions: dict[bool, _HighsSession] = {}
         self._materialized: list[Constraint] | None = None
         self._created = time.monotonic()
         self._build_seconds = 0.0
@@ -332,7 +414,7 @@ class Model:
     # -- building ---------------------------------------------------------
     def _invalidate(self) -> None:
         self._compiled = None
-        self._csc = None
+        self._sessions = {}
         self._materialized = None
 
     def add_var(
@@ -840,11 +922,14 @@ class Model:
     ) -> SolveResult:
         """Re-solve with patched row/variable bounds, reusing the structure.
 
-        The compiled matrix is not rebuilt -- only copies of the bound
-        arrays are patched -- so sweeping a threshold, updating demands, or
-        re-pinning variables costs one array copy plus the solve.  The
-        model itself is left unchanged: a later :meth:`solve` sees the
-        original bounds.
+        The compiled matrix is neither rebuilt nor reloaded: only the
+        overridden bounds are changed in the model's HiGHS instance, and
+        restored after the solve, so sweeping a threshold, updating
+        demands, or re-pinning variables costs the patch plus the solve.
+        The model itself is left unchanged: a later :meth:`solve` sees the
+        original bounds.  Overrides that cross (``lb > ub``) or are NaN
+        raise :class:`ModelingError`; one HiGHS refuses (an infinite
+        lower bound, say) reads as infeasible, like a refused model.
 
         Args:
             rhs_overrides: ``{constraint_or_row_index: new_rhs}``.  Keys
@@ -860,10 +945,9 @@ class Model:
             time_limit / mip_rel_gap: As in :meth:`solve`.
         """
         compiled, _ = self._ensure_compiled()
-        row_lb, row_ub = compiled.row_lb, compiled.row_ub
+        rows: dict[int, tuple] = {}
         if rhs_overrides:
-            row_lb = row_lb.copy()
-            row_ub = row_ub.copy()
+            row_lb, row_ub = compiled.row_lb, compiled.row_ub
             senses = self._row_sense.view()
             m = row_lb.size
             for key, value in rhs_overrides.items():
@@ -877,36 +961,28 @@ class Model:
                     i = int(key)
                 if not 0 <= i < m:
                     raise ModelingError(f"row index {i} out of range [0, {m})")
+                lo, hi = rows.get(i) or (row_lb[i], row_ub[i])
                 if isinstance(value, tuple):
-                    lo, hi = value
-                    if lo is not None:
-                        row_lb[i] = float(lo)
-                    if hi is not None:
-                        row_ub[i] = float(hi)
+                    lo, hi = _sides(lo, hi, value)
                 else:
                     code = senses[i]
                     v = float(value)
                     if code == _LE:
-                        row_ub[i] = v
+                        hi = v
                     elif code == _GE:
-                        row_lb[i] = v
+                        lo = v
                     elif code == _EQ:
-                        row_lb[i] = v
-                        row_ub[i] = v
+                        lo = hi = v
                     else:
                         raise ModelingError(
                             f"row {i} is a range constraint; override with a "
                             f"(lo, hi) tuple"
                         )
-                if row_lb[i] > row_ub[i]:
-                    raise ModelingError(
-                        f"override leaves row {i} with lb {row_lb[i]} > "
-                        f"ub {row_ub[i]}"
-                    )
-        var_lb, var_ub = compiled.var_lb, compiled.var_ub
+                _check_patch("row", i, lo, hi)
+                rows[i] = (lo, hi)
+        cols: dict[int, tuple] = {}
         if bound_overrides:
-            var_lb = var_lb.copy()
-            var_ub = var_ub.copy()
+            var_lb, var_ub = compiled.var_lb, compiled.var_ub
             n = var_lb.size
             for key, value in bound_overrides.items():
                 j = key.index if isinstance(key, Var) else int(key)
@@ -914,25 +990,16 @@ class Model:
                     raise ModelingError(
                         f"column index {j} out of range [0, {n})"
                     )
+                lo, hi = cols.get(j) or (var_lb[j], var_ub[j])
                 if isinstance(value, tuple):
-                    lo, hi = value
-                    if lo is not None:
-                        var_lb[j] = float(lo)
-                    if hi is not None:
-                        var_ub[j] = float(hi)
+                    lo, hi = _sides(lo, hi, value)
                 else:
-                    var_ub[j] = float(value)
-                if var_lb[j] > var_ub[j]:
-                    raise ModelingError(
-                        f"override leaves column {j} with lb {var_lb[j]} > "
-                        f"ub {var_ub[j]}"
-                    )
-        patched = compiled._replace(
-            row_lb=row_lb, row_ub=row_ub, var_lb=var_lb, var_ub=var_ub
-        )
+                    hi = float(value)
+                _check_patch("column", j, lo, hi)
+                cols[j] = (lo, hi)
         return self._solve(
-            patched, time_limit, mip_rel_gap, incremental=True,
-            compile_cached=True,
+            compiled, time_limit, mip_rel_gap, incremental=True,
+            compile_cached=True, rows=rows, cols=cols,
         )
 
     def _make_stats(
@@ -962,10 +1029,11 @@ class Model:
 
     def _solve(
         self, compiled, time_limit, mip_rel_gap, incremental, compile_cached,
-        relaxed: bool = False,
+        relaxed: bool = False, rows=None, cols=None,
     ) -> SolveResult:
-        """Solve ``compiled`` as a MILP when the model has integer columns
-        (unless ``relaxed``), else as an LP with duals."""
+        """Solve ``compiled``, with ``rows``/``cols`` bounds patched over
+        it, as a MILP when the model has integer columns (unless
+        ``relaxed``), else as an LP with duals."""
         integer = self.is_mip and not relaxed
         if integer:
             backend, span_name, span_attrs = "milp", "milp_solve", {}
@@ -998,14 +1066,12 @@ class Model:
             span_name, model=self.name, incremental=incremental, **span_attrs
         ) as span:
             started = time.monotonic()
-            if self._csc is None:
-                self._csc = compiled.a.tocsc()
-            out = _run_highs(
-                self._csc, sign * compiled.c, compiled.row_lb,
-                compiled.row_ub, compiled.var_lb, compiled.var_ub,
-                compiled.integrality if integer else None,
-                time_limit, mip_rel_gap,
-            )
+            session = self._sessions.get(integer)
+            if session is None:
+                session = _HighsSession(
+                    compiled.a.tocsc(), sign * compiled.c, compiled, integer)
+                self._sessions[integer] = session
+            out = session.run(time_limit, mip_rel_gap, rows, cols)
             elapsed = time.monotonic() - started
             span.set(solve_seconds=elapsed, status=out.status.value)
         solved = out.x is not None

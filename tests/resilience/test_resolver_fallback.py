@@ -81,3 +81,30 @@ class TestMonteCarloUnderChaos:
         assert chaotic.availability == pytest.approx(clean.availability)
         assert chaotic.worst_sampled == pytest.approx(clean.worst_sampled)
         assert chaotic.degradations == pytest.approx(clean.degradations)
+
+
+class TestChaosKey:
+    """The ``resolver.resolve`` key is ``repr(scenario)``, built only
+    while a fault plan is installed."""
+
+    def test_plan_free_campaign_builds_no_key(self, instance, monkeypatch):
+        def refuse(self):
+            raise AssertionError("repr(scenario) built without a plan")
+
+        monkeypatch.setattr(FailureScenario, "__repr__", refuse)
+        estimate = estimate_availability(*instance, samples=60, seed=3)
+        assert estimate.fresh_solves > 1
+
+    def test_a_plan_still_targets_one_scenario_by_its_repr(
+            self, instance, caplog):
+        topology, demands, paths = instance
+        target = FailureScenario([(lag_key("a", "c"), 0)])
+        plan = FaultPlan(seed=0, points=[
+            FaultPoint("resolver.resolve", match=repr(target))])
+        resolver = ScenarioResolver(topology, demands, paths)
+        with injected(plan), caplog.at_level("WARNING"):
+            resolver.delivered(FailureScenario([(lag_key("a", "b"), 0)]))
+            assert not caplog.records
+            resolver.delivered(target)
+        assert any("falling back to a fresh solve" in r.message
+                   for r in caplog.records)

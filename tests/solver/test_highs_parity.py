@@ -272,3 +272,160 @@ def test_highs_binding_is_where_the_model_expects_it():
     for method in ("setOptionValue", "passModel", "run", "getModelStatus",
                    "getInfo", "getSolution"):
         assert hasattr(_core._Highs, method), method
+
+
+# -- one HiGHS instance per compiled model ---------------------------------
+#
+# A model loads its compiled arrays into HiGHS once and re-solves by
+# patching bounds in place.  Every result must equal, bit for bit, a
+# fresh solve of the same model rebuilt with those bounds.
+
+def _session_arrays(seed):
+    """A feasible model over every row sense, larger than the ones
+    above so HiGHS does real simplex and branch-and-bound work."""
+    rng = np.random.default_rng(seed)
+    n, m = 10, 8
+    senses = np.array([_SENSES[k % 4] for k in range(m)])
+    a = np.round(rng.uniform(-1.0, 3.0, size=(m, n)), 2)
+    a[np.abs(a) < 0.6] = 0.0
+    a[~a.any(axis=1), 0] = 1.0
+    x0 = rng.integers(0, 3, size=n).astype(float)
+    ax0 = a @ x0
+    slack = np.round(rng.uniform(0.5, 4.0, size=m), 2)
+    row_lb = np.where(senses == "<=", -np.inf, ax0 - slack)
+    row_ub = np.where(senses == ">=", np.inf, ax0 + slack)
+    row_lb[senses == "=="] = row_ub[senses == "=="] = ax0[senses == "=="]
+    c = np.round(rng.uniform(-1.0, 3.0, size=n), 3)
+    return senses, (c, a, row_lb, row_ub, np.zeros(n),
+                    rng.integers(3, 7, size=n).astype(float))
+
+
+def _from_arrays(arrays, integer):
+    c, a, row_lb, row_ub, var_lb, var_ub = arrays
+    m = Model("session")
+    m.add_vars_batch(c.size, lb=var_lb, ub=var_ub, integer=integer)
+    nz = a != 0
+    m.add_constrs_batch(
+        np.concatenate([[0], np.cumsum(nz.sum(axis=1))]),
+        np.nonzero(nz)[1], a[nz], row_lb=row_lb, row_ub=row_ub,
+    )
+    m.set_objective(sum(float(c[j]) * v for j, v in enumerate(m.variables)),
+                    sense="max")
+    return m
+
+
+def _bits(result):
+    """Everything a solve reports that must not move, as exact bits."""
+    def hexes(values):
+        return None if values is None else [float(v).hex() for v in values]
+    return (result.status, result.message, float(result.objective).hex(),
+            hexes(result.x), hexes(result.duals), result.mip_gap)
+
+
+def _set_sides(lower, upper, index, value):
+    lo, hi = value
+    if lo is not None:
+        lower[index] = lo
+    if hi is not None:
+        upper[index] = hi
+
+
+def _patched(arrays, senses, rhs, bounds):
+    """Reference arrays with ``resolve_with``'s overrides applied."""
+    c, a, row_lb, row_ub, var_lb, var_ub = (x.copy() for x in arrays)
+    for i, value in rhs.items():
+        if isinstance(value, tuple):
+            _set_sides(row_lb, row_ub, i, value)
+        elif senses[i] == "<=":
+            row_ub[i] = value
+        elif senses[i] == ">=":
+            row_lb[i] = value
+        else:
+            row_lb[i] = row_ub[i] = value
+    for j, value in bounds.items():
+        if isinstance(value, tuple):
+            _set_sides(var_lb, var_ub, j, value)
+        else:
+            var_ub[j] = value
+    return c, a, row_lb, row_ub, var_lb, var_ub
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("integer", [False, True])
+def test_resolve_sequence_equals_fresh_solves(seed, integer):
+    senses, arrays = _session_arrays(seed)
+    ge = int(np.flatnonzero(senses == ">=")[0])
+    le = int(np.flatnonzero(senses == "<=")[0])
+    ranged = int(np.flatnonzero(senses == "range")[0])
+    sequence = [
+        # (rhs overrides, bound overrides, solve options)
+        ({ge: 1e4}, {}, {}),                                   # infeasible
+        ({le: arrays[3][le] - 0.5}, {2: 1.0}, {}),             # feasible
+        ({ranged: (arrays[2][ranged] - 1.0, arrays[3][ranged] + 0.25)},
+         {0: (1.0, 2.0)}, {"time_limit": 0.0}),
+        ({ranged: (arrays[2][ranged] - 1.0, arrays[3][ranged] + 0.25)},
+         {0: (1.0, 2.0)}, {"time_limit": None}),
+        ({}, {3: 0.0, 5: (None, 1.0)}, {"mip_rel_gap": 0.5}),
+        ({}, {3: 0.0, 5: (None, 1.0)}, {}),
+        ({}, {}, {}),
+    ]
+    model = _from_arrays(arrays, integer)
+    statuses = set()
+    for rhs, bounds, options in sequence:
+        got = model.resolve_with(rhs, bounds, **options)
+        fresh = _from_arrays(_patched(arrays, senses, rhs, bounds), integer)
+        assert _bits(got) == _bits(fresh.solve(**options))
+        statuses.add(got.status)
+    assert SolveStatus.INFEASIBLE in statuses
+    assert SolveStatus.OPTIMAL in statuses
+    # The overrides never stuck: the model solves as it was built.
+    assert _bits(model.solve()) == _bits(_from_arrays(arrays, integer).solve())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relaxation_between_milp_solves(seed):
+    _, arrays = _session_arrays(seed)
+    model = _from_arrays(arrays, integer=True)
+    first = model.solve()
+    relaxed = model.solve(relax=True)
+    again = model.solve()
+    assert first.status is SolveStatus.OPTIMAL
+    assert _bits(again) == _bits(first)
+    assert _bits(first) == _bits(_from_arrays(arrays, True).solve())
+    assert _bits(relaxed) == _bits(
+        _from_arrays(arrays, True).solve(relax=True))
+    assert relaxed.duals is not None and first.duals is None
+
+
+def test_time_limit_does_not_leak_into_the_next_solve():
+    # A zero time limit stops this MILP with no incumbent; a leaked limit
+    # would stop the next, unlimited solve the same way.
+    _, arrays = _session_arrays(0)
+    model = _from_arrays(arrays, integer=True)
+    limited = model.solve(time_limit=0.0)
+    unlimited = model.solve()
+    assert limited.status is SolveStatus.TIME_LIMIT
+    assert unlimited.status is SolveStatus.OPTIMAL
+    assert _bits(unlimited) == _bits(_from_arrays(arrays, True).solve())
+
+
+def test_refused_override_reads_as_model_error_and_is_restored():
+    _, arrays = _session_arrays(1)
+    model = _from_arrays(arrays, integer=False)
+    ge = 1  # _SENSES[1] is ">="
+    refused = model.resolve_with({ge: float("inf")})
+    assert refused.status is SolveStatus.INFEASIBLE
+    assert refused.message == "HiGHS: Model error"
+    assert _bits(model.solve()) == _bits(_from_arrays(arrays, False).solve())
+
+
+def test_adding_a_variable_after_a_solve_reloads_the_model():
+    _, arrays = _session_arrays(2)
+    model = _from_arrays(arrays, integer=False)
+    before = model.solve()
+    extra = model.add_var(ub=2.0, name="extra")
+    model.add_constr(extra + model.variables[0] <= 3.0)
+    after = model.resolve_with(bound_overrides={extra: (1.0, None)})
+    assert after.x.size == before.x.size + 1
+    assert after.x[extra.index] >= 1.0
+    assert after.duals.size == before.duals.size + 1
