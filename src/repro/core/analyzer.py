@@ -25,7 +25,6 @@ A Raha result therefore never rests on the MILP encoding alone.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 
 from repro.core.config import RahaConfig
 from repro.core.degradation import DegradationResult, PartialResult
@@ -49,7 +48,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.paths.pathset import PathSet
 from repro.solver.duality import InnerLP
-from repro.solver.expr import quicksum
+from repro.solver.expr import LinExpr
 from repro.solver.result import SolveResult, SolveStatus
 from repro.te.maxmin import GeometricBinnerTE
 from repro.te.mlu import MluTE
@@ -157,6 +156,9 @@ class RahaAnalyzer:
             context = builder(
                 game, encoding, caps, demand_exprs, demand_uppers
             )
+        # The KKT embedding and the objective are part of the encoding;
+        # game.solve() would otherwise do this first, off the clock.
+        game.finalize()
         encode_seconds = time.monotonic() - encode_started
 
         result = game.solve(
@@ -357,41 +359,37 @@ class RahaAnalyzer:
         a subsystem of "sum of nonnegatives = 1" equations and is <= 1.
         """
         topo = self.topology
-        per_lag: dict[LagKey, list] = defaultdict(list)
+        per_lag: dict[LagKey, LinExpr] = {}
+        rows = []
         for pair in self.config.pairs:
             dp = self.paths[pair]
             count = dp.num_primary if primaries_only else len(dp.paths)
             d_hi = demand_uppers[pair]
-            terms = []
+            routed = LinExpr()
             for j in range(count):
                 var = inner.add_var(
                     obj_coef=1.0, value_bound=d_hi,
                     name=f"{inner.name}:f[{pair}][{j}]",
                 )
                 flow_vars[(pair, j)] = var
-                terms.append(var)
+                routed.add_term(var, 1.0)
                 for lag in topo.lags_on_path(dp.paths[j]):
-                    per_lag[lag.key].append(var)
+                    _on_lag(per_lag, lag.key, var)
                 if caps is not None:
                     cap = caps.get((pair, j))
                     if cap is not None:
-                        inner.add_constr(
-                            var <= cap, dual_bound=1.0, slack_bound=d_hi,
-                            name=f"{inner.name}:gate[{pair}][{j}]",
-                        )
-            inner.add_constr(
-                quicksum(terms) <= demand_exprs[pair],
-                dual_bound=1.0, slack_bound=d_hi,
-                name=f"{inner.name}:dem[{pair}]",
-            )
-        for key, vars_on_lag in per_lag.items():
+                        rows.append((
+                            LinExpr({var.index: 1.0}), cap, "<=", 1.0, d_hi,
+                            f"{inner.name}:gate[{pair}][{j}]",
+                        ))
+            rows.append((routed, demand_exprs[pair], "<=", 1.0, d_hi,
+                         f"{inner.name}:dem[{pair}]"))
+        for key, load in per_lag.items():
             healthy_cap = topo.require_lag(*key).capacity
             rhs = lag_capacity[key] if lag_capacity is not None else healthy_cap
-            inner.add_constr(
-                quicksum(vars_on_lag) <= rhs,
-                dual_bound=1.0, slack_bound=healthy_cap,
-                name=f"{inner.name}:cap[{key}]",
-            )
+            rows.append((load, rhs, "<=", 1.0, healthy_cap,
+                         f"{inner.name}:cap[{key}]"))
+        inner.add_rows(rows)
 
     # -- MLU objective (Appendix A) -------------------------------------------------
     def _mlu_bounds(self, demand_uppers):
@@ -453,48 +451,42 @@ class RahaAnalyzer:
         topo = self.topology
         u_var = inner.add_var(obj_coef=1.0, value_bound=u_max,
                               name=f"{inner.name}:U")
-        per_lag: dict[LagKey, list] = defaultdict(list)
+        per_lag: dict[LagKey, LinExpr] = {}
+        rows = []
         for pair in self.config.pairs:
             dp = self.paths[pair]
             count = dp.num_primary if primaries_only else len(dp.paths)
             d_hi = demand_uppers[pair]
-            terms = []
+            routed = LinExpr()
             for j in range(count):
                 var = inner.add_var(
                     obj_coef=0.0, value_bound=d_hi,
                     name=f"{inner.name}:f[{pair}][{j}]",
                 )
-                terms.append(var)
+                routed.add_term(var, 1.0)
                 for lag in topo.lags_on_path(dp.paths[j]):
-                    per_lag[lag.key].append(var)
+                    _on_lag(per_lag, lag.key, var)
                 if caps is not None:
                     cap = caps.get((pair, j))
                     if cap is not None:
-                        inner.add_constr(
-                            var <= cap, dual_bound=dual_eq,
-                            slack_bound=d_hi,
-                            name=f"{inner.name}:gate[{pair}][{j}]",
-                        )
+                        rows.append((
+                            LinExpr({var.index: 1.0}), cap, "<=", dual_eq,
+                            d_hi, f"{inner.name}:gate[{pair}][{j}]",
+                        ))
             # MLU requires demands be fully routed.
-            inner.add_constr(
-                quicksum(terms) == demand_exprs[pair],
-                dual_bound=dual_eq,
-                name=f"{inner.name}:dem[{pair}]",
-            )
-        for key, vars_on_lag in per_lag.items():
+            rows.append((routed, demand_exprs[pair], "==", dual_eq,
+                         float("inf"), f"{inner.name}:dem[{pair}]"))
+        for key, load in per_lag.items():
             capacity = topo.require_lag(*key).capacity
             if capacity <= 0:
-                inner.add_constr(
-                    quicksum(vars_on_lag) <= 0.0, dual_bound=dual_eq,
-                    slack_bound=1.0, name=f"{inner.name}:zero[{key}]",
-                )
+                rows.append((load, 0.0, "<=", dual_eq, 1.0,
+                             f"{inner.name}:zero[{key}]"))
                 continue
-            inner.add_constr(
-                quicksum(vars_on_lag) - capacity * u_var <= 0,
-                dual_bound=2.0 / capacity,
-                slack_bound=capacity * u_max,
-                name=f"{inner.name}:util[{key}]",
-            )
+            # load - capacity * U <= 0
+            load.add_term(u_var, -float(capacity))
+            rows.append((load, 0.0, "<=", 2.0 / capacity,
+                         capacity * u_max, f"{inner.name}:util[{key}]"))
+        inner.add_rows(rows)
 
     # -- max-min objective (Appendix A) ------------------------------------------------
     def _binner(self, demand_uppers) -> GeometricBinnerTE:
@@ -562,54 +554,48 @@ class RahaAnalyzer:
         max_demand = max(demand_uppers.values()) if demand_uppers else 1.0
         widths = binner.bin_widths(max_demand)
         weights = [binner.alpha ** (-i) for i in range(binner.num_bins)]
-        per_lag: dict[LagKey, list] = defaultdict(list)
+        per_lag: dict[LagKey, LinExpr] = {}
+        rows = []
         for pair in self.config.pairs:
             dp = self.paths[pair]
             count = dp.num_primary if primaries_only else len(dp.paths)
             d_hi = demand_uppers[pair]
-            terms = []
+            routed = LinExpr()
             for j in range(count):
                 var = inner.add_var(
                     obj_coef=0.0, value_bound=d_hi,
                     name=f"{inner.name}:f[{pair}][{j}]",
                 )
-                terms.append(var)
+                routed.add_term(var, 1.0)
                 for lag in topo.lags_on_path(dp.paths[j]):
-                    per_lag[lag.key].append(var)
+                    _on_lag(per_lag, lag.key, var)
                 if caps is not None:
                     cap = caps.get((pair, j))
                     if cap is not None:
-                        inner.add_constr(
-                            var <= cap, dual_bound=2.0, slack_bound=d_hi,
-                            name=f"{inner.name}:gate[{pair}][{j}]",
-                        )
-            bins = []
+                        rows.append((
+                            LinExpr({var.index: 1.0}), cap, "<=", 2.0, d_hi,
+                            f"{inner.name}:gate[{pair}][{j}]",
+                        ))
+            # routed - sum of bins == 0
+            split = LinExpr(routed.terms)
             for i, width in enumerate(widths):
                 b = inner.add_var(
                     obj_coef=weights[i], value_bound=width,
                     name=f"{inner.name}:b[{pair}][{i}]",
                 )
-                bins.append(b)
-                inner.add_constr(
-                    b <= width, dual_bound=2.0, slack_bound=width,
-                    name=f"{inner.name}:bw[{pair}][{i}]",
-                )
-            inner.add_constr(
-                quicksum(terms) == quicksum(bins), dual_bound=2.0,
-                name=f"{inner.name}:split[{pair}]",
-            )
-            inner.add_constr(
-                quicksum(terms) <= demand_exprs[pair],
-                dual_bound=2.0, slack_bound=d_hi,
-                name=f"{inner.name}:dem[{pair}]",
-            )
-        for key, vars_on_lag in per_lag.items():
+                split.add_term(b, -1.0)
+                rows.append((LinExpr({b.index: 1.0}), width, "<=", 2.0,
+                             width, f"{inner.name}:bw[{pair}][{i}]"))
+            rows.append((split, 0.0, "==", 2.0, float("inf"),
+                         f"{inner.name}:split[{pair}]"))
+            rows.append((routed, demand_exprs[pair], "<=", 2.0, d_hi,
+                         f"{inner.name}:dem[{pair}]"))
+        for key, load in per_lag.items():
             healthy_cap = topo.require_lag(*key).capacity
             rhs = lag_capacity[key] if lag_capacity is not None else healthy_cap
-            inner.add_constr(
-                quicksum(vars_on_lag) <= rhs, dual_bound=2.0,
-                slack_bound=healthy_cap, name=f"{inner.name}:cap[{key}]",
-            )
+            rows.append((load, rhs, "<=", 2.0, healthy_cap,
+                         f"{inner.name}:cap[{key}]"))
+        inner.add_rows(rows)
 
     # -- finalize -----------------------------------------------------------------
     def _finalize(self, game, encoding, demand_exprs, context,
@@ -722,6 +708,14 @@ class RahaAnalyzer:
                 f"simulated {sim_failed:.6g}"
             )
         notes.append("simulation cross-check passed")
+
+
+def _on_lag(per_lag: dict, key: LagKey, var) -> None:
+    """Add ``var`` to the load expression of LAG ``key``."""
+    load = per_lag.get(key)
+    if load is None:
+        load = per_lag[key] = LinExpr()
+    load.add_term(var, 1.0)
 
 
 def simulate_failed_mlu(topology: Topology, demands, paths: PathSet,

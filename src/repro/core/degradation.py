@@ -28,7 +28,9 @@ class DegradationResult:
         status: Final solver status string (``"optimal"`` or
             ``"time_limit"`` -- a time-limited result is the incumbent).
         solve_seconds: Time inside the MILP solver.
-        encode_seconds: Time spent building the MILP.
+        encode_seconds: Time spent building the MILP: the failure
+            encoding, both inner problems, the KKT embedding of the
+            adversarial one and the objective.
         path_seconds: Path computation time (the paper includes it in
             reported runtimes).
         verified: Whether post-solve verification ran and passed.
@@ -115,7 +117,8 @@ class PartialResult:
             timeout, each escalated retry, and the relaxation solve.
         time_limits_tried: MILP time limits attempted, in order.
         solve_seconds: Total solver time across ladder rungs.
-        encode_seconds: Time spent building the MILP (once).
+        encode_seconds: Time spent building the MILP (once), the KKT
+            embedding included.
         solver_stats: Telemetry of the relaxation solve, or ``None``.
     """
 

@@ -34,9 +34,9 @@ from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
 from repro.paths.pathset import PathSet
-from repro.solver.expr import LinExpr, Var, quicksum
+from repro.solver.expr import Constraint, LinExpr, Var, quicksum
 from repro.solver.linearize import indicator_geq, product_binary_bounded
-from repro.solver.model import Model
+from repro.solver.model import Model, RowBatch
 from repro.solver.result import SolveResult
 
 
@@ -69,10 +69,13 @@ class FailureEncoding:
     #: (pair, path idx) -> binary Var or constant: backup active a_kpj
     #: (primaries map to the constant 1.0).
     path_active: dict = field(default_factory=dict, init=False)
+    #: (lag key, link idx) -> SRLG group id, for every SRLG member.
+    _srlg_of: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self._build_link_variables()
-        self._build_lag_down()
+        self._srlg_of = self._srlg_groups()
+        downs = self._build_link_variables()
+        self._build_lag_down(downs)
         self._build_path_down()
         self._build_activation()
         self._add_scenario_constraints()
@@ -83,25 +86,26 @@ class FailureEncoding:
         if lag_key(*key) in self.non_failable_lags:
             return False
         lag = self.topology.require_lag(*key)
-        link = lag.links[link_index]
-        if not link.can_fail:
+        return self._failable(lag, lag.links[link_index], link_index)
+
+    def _failable(self, lag, link, link_index: int) -> bool:
+        if lag.key in self.non_failable_lags or not link.can_fail:
             return False
-        if link.failure_probability is None:
-            if self.config.probability_threshold is None:
-                return True
-            # Under a threshold the link needs a term in the probability
-            # product: its own probability, or its SRLG's group one.
-            member = (lag_key(*key), link_index)
-            return any(
-                srlg.failure_probability is not None
-                and any(
-                    (lag_key(*m[0]), m[1]) == member for m in srlg.members
-                )
-                for srlg in self.topology.srlgs
-            )
-        return True
+        if (link.failure_probability is not None
+                or self.config.probability_threshold is None):
+            return True
+        # Under a threshold the link needs a term in the probability
+        # product: its own probability, or its SRLG's group one.
+        gid = self._srlg_of.get((lag.key, link_index))
+        return (gid is not None
+                and self.topology.srlgs[gid].failure_probability is not None)
 
     # -- construction ---------------------------------------------------------
+    # The builders below write each row's terms into one dict, in the
+    # order the expression algebra would add them, and compute each
+    # constant with the algebra's own floating-point operations: the
+    # compiled model is the contract (tests/core/
+    # test_compiled_model_digests.py), so it must not move by a bit.
     def _srlg_groups(self) -> dict[tuple[LagKey, int], int]:
         """Map each SRLG member to its group id."""
         groups: dict[tuple[LagKey, int], int] = {}
@@ -115,56 +119,76 @@ class FailureEncoding:
                 groups[(key, idx)] = gid
         return groups
 
-    def _build_link_variables(self) -> None:
-        srlg_of = self._srlg_groups()
+    def _build_link_variables(self) -> list[list]:
+        """The link binaries and LAG capacities; each LAG's ``link_down``
+        values, in LAG order."""
+        model = self.model
         group_var: dict[int, Var] = {}
+        downs = []
         for lag in self.topology.lags:
-            for i in range(lag.num_links):
-                if not self.link_is_failable(lag.key, i):
-                    self.link_down[(lag.key, i)] = 0.0
-                    continue
-                gid = srlg_of.get((lag.key, i))
-                if gid is not None:
-                    # SRLG members share one binary (fate-sharing).
-                    if gid not in group_var:
-                        group_var[gid] = self.model.add_var(
-                            binary=True, name=f"u_srlg[{gid}]"
-                        )
-                    self.link_down[(lag.key, i)] = group_var[gid]
-                else:
-                    self.link_down[(lag.key, i)] = self.model.add_var(
-                        binary=True, name=f"u[{lag.key}#{i}]"
-                    )
-        # Variable LAG capacities: c_e = sum c_le (1 - u_le).
-        for lag in self.topology.lags:
-            expr = LinExpr()
+            key = lag.key
+            label = str(key)
+            # Variable LAG capacity: c_e = sum c_le (1 - u_le).
+            capacity = LinExpr()
+            us = []
             for i, link in enumerate(lag.links):
-                u = self.link_down[(lag.key, i)]
-                if isinstance(u, Var):
-                    expr = expr + link.capacity * (1 - u.to_expr())
+                cap = float(link.capacity)
+                if not self._failable(lag, link, i):
+                    u = 0.0
                 else:
-                    expr = expr + link.capacity
-            self.lag_capacity[lag.key] = expr
+                    gid = self._srlg_of.get((key, i))
+                    if gid is None:
+                        u = model.add_var(binary=True, name=f"u[{label}#{i}]")
+                    else:
+                        # SRLG members share one binary (fate-sharing).
+                        u = group_var.get(gid)
+                        if u is None:
+                            u = group_var[gid] = model.add_var(
+                                binary=True, name=f"u_srlg[{gid}]"
+                            )
+                    if cap:
+                        capacity.add_term(u, -cap)
+                self.link_down[(key, i)] = u
+                us.append(u)
+                capacity.constant += cap
+            self.lag_capacity[key] = capacity
+            downs.append(us)
+        return downs
 
-    def _build_lag_down(self) -> None:
-        """Eq. 3: a LAG is down only when all of its links are down."""
-        for lag in self.topology.lags:
-            us = [self.link_down[(lag.key, i)] for i in range(lag.num_links)]
-            if any(not isinstance(u, Var) for u in us):
+    def _build_lag_down(self, downs: list[list]) -> None:
+        """Eq. 3: a LAG is down only when all of its links are down.
+
+        Row per fully failable LAG: ``N_e u_e + aux - sum u_le == 0``.
+        ``downs`` holds each LAG's link binaries, in LAG order.
+        """
+        model = self.model
+        rows = RowBatch()
+        for lag, us in zip(self.topology.lags, downs):
+            key = lag.key
+            if not all(isinstance(u, Var) for u in us):
                 # Some link can never fail, so the LAG can never be down.
-                self.lag_down[lag.key] = 0.0
+                self.lag_down[key] = 0.0
                 continue
-            n = lag.num_links
-            u_e = self.model.add_var(binary=True, name=f"lagdown[{lag.key}]")
-            aux = self.model.add_var(lb=0.0, ub=n - 1, name=f"aux[{lag.key}]")
-            self.model.add_constr(
-                n * u_e.to_expr() + aux == quicksum(us),
-                name=f"eq3[{lag.key}]",
-            )
-            self.lag_down[lag.key] = u_e
+            n = len(us)
+            label = str(key)
+            u_e = model.add_var(binary=True, name=f"lagdown[{label}]")
+            aux = model.add_var(lb=0.0, ub=n - 1, name=f"aux[{label}]")
+            row = LinExpr({u_e.index: float(n), aux.index: 1.0})
+            for u in us:
+                row.add_term(u, -1.0)
+            rows.add(row, "==", f"eq3[{label}]")
+            self.lag_down[key] = u_e
+        rows.post(model)
 
     def _build_path_down(self) -> None:
-        """Eq. 4: a path is down when any of its LAGs is down."""
+        """Eq. 4: a path is down when any of its LAGs is down.
+
+        Rows per path: ``N_kp u_kp - sum u_e >= 0``, and with
+        ``exact_path_down`` also ``u_kp - sum u_e <= 0``.
+        """
+        model = self.model
+        exact = self.config.exact_path_down
+        rows = RowBatch()
         for pair, dp in self.paths.items():
             for j, path in enumerate(dp.paths):
                 lag_downs = [
@@ -175,19 +199,19 @@ class FailureEncoding:
                 if not down_vars:
                     self.path_down[(pair, j)] = 0.0
                     continue
-                u_kp = self.model.add_var(
-                    binary=True, name=f"pathdown[{pair}][{j}]"
-                )
-                n = len(lag_downs)
-                total = quicksum(down_vars)
-                self.model.add_constr(
-                    n * u_kp.to_expr() >= total, name=f"eq4[{pair}][{j}]"
-                )
-                if self.config.exact_path_down:
-                    self.model.add_constr(
-                        u_kp.to_expr() <= total, name=f"eq4x[{pair}][{j}]"
-                    )
+                label = f"[{pair}][{j}]"
+                u_kp = model.add_var(binary=True, name=f"pathdown{label}")
+                row = LinExpr({u_kp.index: float(len(lag_downs))})
+                for u in down_vars:
+                    row.add_term(u, -1.0)
+                rows.add(row, ">=", f"eq4{label}")
+                if exact:
+                    row = LinExpr({u_kp.index: 1.0})
+                    for u in down_vars:
+                        row.add_term(u, -1.0)
+                    rows.add(row, "<=", f"eq4x{label}")
                 self.path_down[(pair, j)] = u_kp
+        rows.post(model)
 
     def _build_activation(self) -> None:
         """Eq. 5's indicator: the r-th backup needs r higher-priority downs."""
@@ -218,16 +242,17 @@ class FailureEncoding:
     def _add_scenario_constraints(self) -> None:
         """Section 5.1: probability threshold, failure count, CE."""
         config = self.config
+        model = self.model
         if config.probability_threshold is not None:
             self._add_probability_constraint(config.probability_threshold)
         if config.max_failures is not None:
-            failable = [
-                u for u in self.link_down.values() if isinstance(u, Var)
-            ]
             # Deduplicate SRLG-shared binaries but count each member link.
-            counted = quicksum(failable)
-            self.model.add_constr(
-                counted <= config.max_failures, name="max_failures"
+            counted = LinExpr()
+            for u in self.link_down.values():
+                if isinstance(u, Var):
+                    counted.add_term(u, 1.0)
+            model.add_constr(
+                _at_most(counted, config.max_failures), name="max_failures"
             )
         if config.connected_enforced:
             for pair, dp in self.paths.items():
@@ -236,8 +261,11 @@ class FailureEncoding:
                 ]
                 down_vars = [u for u in downs if isinstance(u, Var)]
                 if len(down_vars) == len(dp.paths):
-                    self.model.add_constr(
-                        quicksum(down_vars) <= len(dp.paths) - 1,
+                    row = LinExpr()
+                    for u in down_vars:
+                        row.add_term(u, 1.0)
+                    model.add_constr(
+                        _at_most(row, len(dp.paths) - 1),
                         name=f"ce[{pair}]",
                     )
 
@@ -246,27 +274,21 @@ class FailureEncoding:
 
         SRLG members with a group probability contribute a single term
         driven by the shared binary; other links contribute individually.
+        Each term is ``u log(pi) + (1 - u) log(1 - pi)``.
         """
-        srlg_prob: dict[int, float] = {}
-        srlg_member: dict[tuple[LagKey, int], int] = {}
-        for gid, srlg in enumerate(self.topology.srlgs):
-            if srlg.failure_probability is not None:
-                srlg_prob[gid] = srlg.failure_probability
-                for member in srlg.members:
-                    srlg_member[(lag_key(*member[0]), member[1])] = gid
-
-        expr = LinExpr()
+        srlgs = self.topology.srlgs
+        row = LinExpr()
         group_done: set[int] = set()
         for lag in self.topology.lags:
             for i, link in enumerate(lag.links):
                 u = self.link_down[(lag.key, i)]
                 if not isinstance(u, Var):
                     continue  # non-failable: stays up, contributes log(1)~0
-                gid = srlg_member.get((lag.key, i))
-                if gid is not None:
+                gid = self._srlg_of.get((lag.key, i))
+                if gid is not None and srlgs[gid].failure_probability is not None:
                     if gid in group_done:
                         continue
-                    pi = srlg_prob[gid]
+                    pi = srlgs[gid].failure_probability
                     group_done.add(gid)
                 else:
                     pi = link.failure_probability
@@ -275,10 +297,15 @@ class FailureEncoding:
                             f"link {lag.key}#{i} is failable under a "
                             "probability threshold but has no probability"
                         )
-                # u*log(pi) + (1-u)*log(1-pi)
-                expr = expr + log(pi) * u.to_expr()
-                expr = expr + log(1.0 - pi) * (1 - u.to_expr())
-        self.model.add_constr(expr >= log(threshold), name="probability")
+                log_fail, log_up = log(pi), log(1.0 - pi)
+                if log_fail:
+                    row.add_term(u, log_fail)
+                if log_up:
+                    row.add_term(u, -log_up)
+                    row.constant += log_up
+        # row >= log T, with log T moved to the left.
+        row.constant += -log(threshold)
+        self.model.add_constr(Constraint(row, ">="), name="probability")
 
     # -- extraction ---------------------------------------------------------
     def extract_scenario(self, result: SolveResult) -> FailureScenario:
@@ -296,6 +323,12 @@ class FailureEncoding:
             if isinstance(u, Var) and result.value(u) > 0.5:
                 out.setdefault(pair, []).append(j)
         return out
+
+
+def _at_most(expr: LinExpr, bound) -> Constraint:
+    """``expr <= bound`` for a number ``bound``, without temporaries."""
+    expr.constant += -float(bound)
+    return Constraint(expr, "<=")
 
 
 def build_path_extension_caps(
@@ -344,7 +377,8 @@ def build_path_extension_caps(
                 continue
             if isinstance(d_expr, (int, float)):
                 # Fixed demand: C = d * usable is a plain scaling.
-                caps[(pair, j)] = float(d_expr) * usable.to_expr()
+                d = float(d_expr)
+                caps[(pair, j)] = LinExpr({usable.index: d} if d else None)
             else:
                 caps[(pair, j)] = product_binary_bounded(
                     model, usable, d_expr, factor_ub=d_hi,
@@ -373,15 +407,31 @@ def _usable_indicator(model: Model, active, down, kill_down_paths: bool,
         if isinstance(active, float):
             return None if active == 1.0 else 0.0
         return active
+    # Rows built in place, with the expression algebra's constants.
     if isinstance(active, float):  # always active (primary)
         w = model.add_var(binary=True, name=name)
-        model.add_constr(w.to_expr() == 1 - down.to_expr(), name=f"{name}:def")
+        # w == 1 - down
+        model.add_constr(
+            Constraint(LinExpr({w.index: 1.0, down.index: 1.0}, -1.0), "=="),
+            name=f"{name}:def",
+        )
         return w
     w = model.add_var(binary=True, name=name)
-    model.add_constr(w.to_expr() <= active.to_expr(), name=f"{name}:a")
-    model.add_constr(w.to_expr() <= 1 - down.to_expr(), name=f"{name}:d")
+    # w <= active;  w <= 1 - down;  w >= active - down
     model.add_constr(
-        w.to_expr() >= active.to_expr() - down.to_expr(), name=f"{name}:ad"
+        Constraint(LinExpr({w.index: 1.0, active.index: -1.0}), "<="),
+        name=f"{name}:a",
+    )
+    model.add_constr(
+        Constraint(LinExpr({w.index: 1.0, down.index: 1.0}, -1.0), "<="),
+        name=f"{name}:d",
+    )
+    model.add_constr(
+        Constraint(
+            LinExpr({w.index: 1.0, active.index: -1.0, down.index: 1.0}),
+            ">=",
+        ),
+        name=f"{name}:ad",
     )
     return w
 
@@ -399,6 +449,7 @@ def add_naive_failover_constraints(
     primary's failed flow may not exceed its healthy flow.  Backups beyond
     the primary count are capped at zero (no healthy counterpart).
     """
+    rows = RowBatch()
     for pair, dp in paths.items():
         n = dp.num_primary
         for j in range(len(dp.paths)):
@@ -411,11 +462,12 @@ def add_naive_failover_constraints(
                 r = j - n
                 source = healthy_flow.get((pair, r)) if r < n else None
             if source is None:
-                model.add_constr(f_var <= 0.0, name=f"naive0[{pair}][{j}]")
+                rows.add(LinExpr({f_var.index: 1.0}), "<=",
+                         f"naive0[{pair}][{j}]")
             else:
-                model.add_constr(
-                    f_var <= source.to_expr(), name=f"naive[{pair}][{j}]"
-                )
+                rows.add(LinExpr({f_var.index: 1.0, source.index: -1.0}),
+                         "<=", f"naive[{pair}][{j}]")
+    rows.post(model)
 
 
 def failable_link_keys(

@@ -27,13 +27,15 @@ big-M bound was large enough before trusting a result.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from repro.exceptions import ModelingError, VerificationError
 from repro.solver.expr import LinExpr, Var
-from repro.solver.model import Model
+from repro.solver.model import Model, RowBatch
 from repro.solver.result import SolveResult
 
 
@@ -148,31 +150,76 @@ class InnerLP:
                 conditions will be embedded.
             name: Debugging name.
         """
-        if self._kkt_embedded:
-            raise ModelingError("cannot add constraints after embed_kkt()")
         expr, sense = constraint.expr, constraint.sense
         if sense == ">=":
             expr, sense = -expr, "<="
         inner, outer = self._split(expr)
         # Normalized row: inner(x) SENSE -outer(I).
-        rhs = -outer
-        row_index = len(self._rows)
-        row = _InnerRow(
-            lhs=inner,
-            rhs=rhs,
-            sense=sense,
-            dual_bound=float(dual_bound),
-            slack_bound=float(slack_bound),
-            name=name or f"{self.name}:r{row_index}",
-        )
-        self._rows.append(row)
-        for idx, coef in inner.terms.items():
-            self._cols[self._col_of_var[idx]].rows.append((row_index, coef))
-        # Post the primal constraint to the host.
-        if sense == "<=":
-            self.model.add_constr(inner <= rhs, name=row.name)
-        else:
-            self.model.add_constr(inner == rhs, name=row.name)
+        self._post([(inner, -outer, sense, dual_bound, slack_bound, name)])
+
+    def add_rows(self, rows: Iterable[tuple]) -> None:
+        """Add inner rows given in split form, posted as one batch.
+
+        The fast path for builders that know which side each term is on:
+        no expression is split, and the host gets every row in one
+        :meth:`repro.solver.model.Model.add_constrs_batch` call.  Row by
+        row, the host model and the KKT data are exactly what
+        :meth:`add_constr` makes of ``lhs SENSE rhs``.
+
+        Args:
+            rows: ``(lhs, rhs, sense, dual_bound, slack_bound, name)``
+                tuples: ``lhs`` a :class:`LinExpr` over inner variables,
+                ``rhs`` a number, an outer :class:`Var` or a
+                :class:`LinExpr` over outer variables, ``sense`` ``"<="``
+                or ``"=="``, the rest as in :meth:`add_constr`.
+        """
+        split = []
+        for lhs, rhs, sense, dual_bound, slack_bound, name in rows:
+            if sense not in ("<=", "=="):
+                raise ModelingError(
+                    f"inner rows are <= or ==, got {sense!r}")
+            if not all(idx in self._col_of_var for idx in lhs.terms):
+                raise ModelingError(
+                    f"row {name!r}: the left-hand side mentions an outer "
+                    "variable"
+                )
+            rhs = LinExpr._coerce(rhs)
+            if any(idx in self._col_of_var for idx in rhs.terms):
+                raise ModelingError(
+                    f"row {name!r}: the right-hand side mentions an inner "
+                    "variable"
+                )
+            # The constants ``lhs - rhs`` and its negation would carry.
+            outer = LinExpr(rhs.terms, -(lhs.constant + -rhs.constant))
+            split.append((LinExpr(lhs.terms), outer, sense, dual_bound,
+                          slack_bound, name))
+        self._post(split)
+
+    def _post(self, rows) -> None:
+        """Record split rows and post them to the host as one batch."""
+        if self._kkt_embedded:
+            raise ModelingError("cannot add constraints after embed_kkt()")
+        batch = RowBatch()
+        for lhs, rhs, sense, dual_bound, slack_bound, name in rows:
+            row_index = len(self._rows)
+            row = _InnerRow(
+                lhs=lhs,
+                rhs=rhs,
+                sense=sense,
+                dual_bound=float(dual_bound),
+                slack_bound=float(slack_bound),
+                name=name or f"{self.name}:r{row_index}",
+            )
+            for idx, coef in lhs.terms.items():
+                self._cols[self._col_of_var[idx]].rows.append(
+                    (row_index, coef))
+            self._rows.append(row)
+            # The host row: lhs - rhs SENSE 0.
+            posted = LinExpr(lhs.terms, 0.0 + -rhs.constant)
+            for idx, coef in rhs.terms.items():
+                posted.terms[idx] = -coef
+            batch.add(posted, sense, row.name)
+        batch.post(self.model)
 
     # -- objective accessors -------------------------------------------------
     def objective_expr(self) -> LinExpr:
@@ -224,7 +271,7 @@ class InnerLP:
             for row in ineq_rows
         ]
 
-        # The five KKT constraint families, each posted as one batch.
+        # The five KKT constraint families, posted as one batch.
         # Dual feasibility per column:  sum(coef * dual_r) >= obj_coef.
         df_cols: list[int] = []
         df_data: list[float] = []
@@ -258,16 +305,11 @@ class InnerLP:
             cx_cols += [col.var.index, t.index]
             cx_data += [1.0, col.value_bound]
             cx_rhs.append(col.value_bound)
-        model.add_constrs_batch(
-            df_indptr, df_cols, df_data, sense=">=", rhs=df_rhs, name="dualfeas"
-        )
-        model.add_constrs_batch(
-            rc_indptr, rc_cols, rc_data, sense="<=", rhs=rc_rhs, name="cs_rc"
-        )
-        model.add_constrs_batch(
-            np.arange(0, len(cx_cols) + 1, 2), cx_cols, cx_data,
-            sense="<=", rhs=cx_rhs, name="cs_x",
-        )
+        rows = RowBatch()
+        rows.extend(df_indptr, df_cols, df_data, ">=", df_rhs, "dualfeas")
+        rows.extend(rc_indptr, rc_cols, rc_data, "<=", rc_rhs, "cs_rc")
+        rows.extend(range(0, len(cx_cols) + 1, 2), cx_cols, cx_data, "<=",
+                    cx_rhs, "cs_x")
 
         # Row complementarity (dual side):  dual - dual_bound * s <= 0.
         cd_cols: list[int] = []
@@ -292,13 +334,10 @@ class InnerLP:
             sl_data.append(row.slack_bound)
             sl_indptr.append(len(sl_cols))
             sl_rhs.append(row.slack_bound - row.rhs.constant)
-        model.add_constrs_batch(
-            np.arange(0, len(cd_cols) + 1, 2), cd_cols, cd_data,
-            sense="<=", rhs=0.0, name="cs_dual",
-        )
-        model.add_constrs_batch(
-            sl_indptr, sl_cols, sl_data, sense="<=", rhs=sl_rhs, name="cs_slack"
-        )
+        rows.extend(range(0, len(cd_cols) + 1, 2), cd_cols, cd_data, "<=",
+                    repeat(0.0, len(ineq_rows)), "cs_dual")
+        rows.extend(sl_indptr, sl_cols, sl_data, "<=", sl_rhs, "cs_slack")
+        rows.post(model)
 
     # -- verification -----------------------------------------------------------
     def _outer_value(self, result: SolveResult, expr: LinExpr) -> float:

@@ -338,9 +338,29 @@ def quicksum(items: Iterable, coefs=None) -> LinExpr:
             )
         if all(isinstance(item, Var) for item in items):
             return LinExpr.from_arrays(indices_of(items), coefs)
+        # The in-order ``+`` fold of ``coef * item``, accumulated in place.
         result = LinExpr()
-        for item, coef in zip(items, coefs):
-            result = result + LinExpr._coerce(item) * float(coef)
+        terms = result.terms
+        for item, coef in zip(items, coefs.tolist()):
+            if isinstance(item, Var):
+                pairs, constant = ((item.index, 1.0),), 0.0
+            elif isinstance(item, LinExpr):
+                pairs, constant = item.terms.items(), item.constant
+            elif isinstance(item, numbers.Real):
+                pairs, constant = (), float(item)
+            else:
+                raise TypeError(
+                    f"cannot build a linear expression from {item!r}"
+                )
+            if coef == 0.0:
+                continue  # scaling by zero yields the empty expression
+            for idx, value in pairs:
+                new = terms.get(idx, 0.0) + value * coef
+                if new == 0.0:
+                    terms.pop(idx, None)
+                else:
+                    terms[idx] = new
+            result.constant += constant * coef
         return result
     result = LinExpr()
     terms = result.terms

@@ -15,7 +15,7 @@ newly created variable; constraints are added to the model directly.
 from __future__ import annotations
 
 from repro.exceptions import ModelingError
-from repro.solver.expr import LinExpr, Var
+from repro.solver.expr import Constraint, LinExpr, Var
 from repro.solver.model import Model
 
 
@@ -61,18 +61,20 @@ def indicator_geq(
         model.add_constr(z.to_expr() >= 1, name=f"{name}:always")
         return z
 
+    # Both rows are built in place: ``expr``'s terms, then ``z``'s, with
+    # each constant computed as the expression algebra computes it.
     # z = 1  =>  expr >= threshold:
     #   expr >= threshold - (threshold - expr_lb) * (1 - z)
-    m_low = threshold - expr_lb
-    model.add_constr(
-        expr >= threshold - m_low * (1 - z.to_expr()), name=f"{name}:on"
-    )
+    m_low = float(threshold - expr_lb)
+    on = LinExpr(expr.terms, expr.constant + -(-m_low + threshold))
+    on.add_term(z, -m_low)
+    model.add_constr(Constraint(on, ">="), name=f"{name}:on")
     # z = 0  =>  expr <= threshold - 1:
     #   expr <= threshold - 1 + (expr_ub - threshold + 1) * z
-    m_high = expr_ub - threshold + 1
-    model.add_constr(
-        expr <= (threshold - 1) + m_high * z.to_expr(), name=f"{name}:off"
-    )
+    m_high = float(expr_ub - threshold + 1)
+    off = LinExpr(expr.terms, expr.constant + -(0.0 + (threshold - 1)))
+    off.add_term(z, -m_high)
+    model.add_constr(Constraint(off, "<="), name=f"{name}:off")
     return z
 
 
@@ -103,11 +105,31 @@ def product_binary_bounded(
     if not (factor_ub >= 0 and factor_ub != float("inf")):
         raise ModelingError(f"product needs a finite nonnegative bound, got {factor_ub}")
 
+    factor = LinExpr._coerce(factor)
+    ub = float(factor_ub)
     w = model.add_var(lb=0.0, ub=factor_ub, name=name)
-    b = binary.to_expr()
-    model.add_constr(w <= factor_ub * b, name=f"{name}:cap")
-    model.add_constr(w <= factor, name=f"{name}:le")
-    model.add_constr(w >= factor - factor_ub * (1 - b), name=f"{name}:ge")
+    # Rows built in place (``w`` is new, so no term of ``factor`` meets
+    # it), with each constant computed as the expression algebra does.
+    # w <= ub * b
+    cap = LinExpr({w.index: 1.0})
+    if ub:
+        cap.add_term(binary, -ub)
+    model.add_constr(Constraint(cap, "<="), name=f"{name}:cap")
+    # w <= factor
+    le = LinExpr({w.index: 1.0}, 0.0 + -factor.constant)
+    for idx, coef in factor.terms.items():
+        le.terms[idx] = -coef
+    model.add_constr(Constraint(le, "<="), name=f"{name}:le")
+    # w >= factor - ub * (1 - b), i.e. w - (factor + ub * b) >= -ub; a
+    # zero ub scales (1 - b) to the empty expression, whose negated
+    # constant is -0.0.
+    shifted = LinExpr(factor.terms, factor.constant + (-ub if ub else -0.0))
+    if ub:
+        shifted.add_term(binary, ub)
+    ge = LinExpr({w.index: 1.0}, 0.0 + -shifted.constant)
+    for idx, coef in shifted.terms.items():
+        ge.terms[idx] = -coef
+    model.add_constr(Constraint(ge, ">="), name=f"{name}:ge")
     return w
 
 

@@ -23,7 +23,8 @@ exposes the two solver features the paper's evaluation leans on:
 The hot path is array-backed: constraint coefficients live in COO
 *segments* (numpy triplet arrays from :meth:`Model.add_constrs_batch`,
 plus one pending Python-list segment fed by scalar :meth:`Model.add_constr`
-calls), and row/variable bounds live in amortized-growth buffers.
+calls), row bounds live in amortized-growth buffers, and column bounds
+in plain lists that :meth:`Model.add_var` appends to.
 Compilation concatenates the segments straight into a CSR matrix -- no
 per-term Python loop -- and the result (and, from the first solve, the
 HiGHS instance holding it) is cached on the model until the next
@@ -34,7 +35,7 @@ calls skip matrix assembly and model loading entirely.
 from __future__ import annotations
 
 import time
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from itertools import repeat
 from typing import NamedTuple
 
@@ -70,7 +71,8 @@ _MIP_STOPPED = (
     _MODEL_STATUS.kIterationLimit,
     _MODEL_STATUS.kSolutionLimit,
 )
-_VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 _DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 
 # Row sense codes stored in the model's uint8 sense buffer.
@@ -139,6 +141,9 @@ class _HighsOutcome(NamedTuple):
     objective: float | None
     row_dual: np.ndarray | None
     mip_gap: float | None
+    #: Branch-and-bound nodes, simplex iterations and the dual bound (in
+    #: HiGHS's minimization sense) of a MILP run; ``None`` for an LP.
+    search: tuple[int, int, float] | None = None
 
 
 _ERROR = _highs.HighsStatus.kError
@@ -213,32 +218,43 @@ class _HighsSession:
                 raise ModelingError(
                     f"{what} {int(np.flatnonzero(nan)[0])} is NaN"
                 )
-        m, n = a_csc.shape
-        lp = _highs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.col_cost_ = cost
-        lp.col_lower_ = compiled.var_lb
-        lp.col_upper_ = compiled.var_ub
-        lp.row_lower_ = compiled.row_lb
-        lp.row_upper_ = compiled.row_ub
-        matrix = lp.a_matrix_
-        matrix.num_col_ = n
-        matrix.num_row_ = m
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.start_ = a_csc.indptr
-        matrix.index_ = a_csc.indices
-        matrix.value_ = a_csc.data
-        if integer:
-            lp.integrality_ = [
-                _VAR_TYPES[i] for i in compiled.integrality.tolist()
-            ]
         highs = _highs._Highs()
         for name, value in _MILP_OPTIONS if integer else _LP_OPTIONS:
             _set_option(highs, name, value)
         self._defaults = [highs.getOptionValue(name)[1] for name in _PER_CALL]
+        m, n = a_csc.shape
+        if integer:
+            # The array form of passModel builds the same HighsLp as the
+            # object form below, without converting every element; it
+            # always sets an integrality vector, which an LP must not
+            # carry, so LPs take the object form.
+            status = highs.passModel(
+                n, m, a_csc.nnz, _COLWISE, _MINIMIZE, 0.0, cost,
+                compiled.var_lb, compiled.var_ub,
+                compiled.row_lb, compiled.row_ub,
+                a_csc.indptr.astype(np.int32, copy=False),
+                a_csc.indices.astype(np.int32, copy=False), a_csc.data,
+                compiled.integrality.astype(np.int32),
+            )
+        else:
+            lp = _highs.HighsLp()
+            lp.num_col_ = n
+            lp.num_row_ = m
+            lp.col_cost_ = cost
+            lp.col_lower_ = compiled.var_lb
+            lp.col_upper_ = compiled.var_ub
+            lp.row_lower_ = compiled.row_lb
+            lp.row_upper_ = compiled.row_ub
+            matrix = lp.a_matrix_
+            matrix.num_col_ = n
+            matrix.num_row_ = m
+            matrix.format_ = _highs.MatrixFormat.kColwise
+            matrix.start_ = a_csc.indptr
+            matrix.index_ = a_csc.indices
+            matrix.value_ = a_csc.data
+            status = highs.passModel(lp)
         # A model HiGHS rejects reads as kModelError on every solve.
-        self._loaded = highs.passModel(lp) != _ERROR
+        self._loaded = status != _ERROR
         self._highs = highs
         self._integer = integer
         self._row_lb, self._row_ub = compiled.row_lb, compiled.row_ub
@@ -291,6 +307,11 @@ class _HighsSession:
         outcome = _STATUS.get(status, SolveStatus.ERROR)
         message = f"HiGHS: {highs.modelStatusToString(status)}"
         info = highs.getInfo() if ran else None
+        search = None
+        if self._integer and info is not None:
+            search = (int(info.mip_node_count),
+                      int(info.simplex_iteration_count),
+                      float(info.mip_dual_bound))
         if not ran:
             solved = False
         elif self._integer and status in _MIP_STOPPED:
@@ -300,7 +321,8 @@ class _HighsSession:
         else:
             solved = status == _MODEL_STATUS.kOptimal
         if not solved:
-            return _HighsOutcome(outcome, message, None, None, None, None)
+            return _HighsOutcome(outcome, message, None, None, None, None,
+                                 search)
         solution = highs.getSolution()
         is_lp = not self._integer
         return _HighsOutcome(
@@ -308,6 +330,64 @@ class _HighsSession:
             info.objective_function_value,
             np.array(solution.row_dual, dtype=np.float64) if is_lp else None,
             None if is_lp else float(info.mip_gap),
+            search,
+        )
+
+
+class RowBatch:
+    """Constraint rows collected in place and registered in one call.
+
+    :meth:`add` records the row ``Constraint(expr, sense)`` describes --
+    the terms of ``expr`` and the right-hand side ``-expr.constant`` --
+    :meth:`extend` records a family of rows given in CSR-like form, and
+    :meth:`post` hands every recorded row, in order, to
+    :meth:`Model.add_constrs_batch` at once.  The compiled model is the
+    one per-row :meth:`Model.add_constr` (or per-family
+    ``add_constrs_batch``) calls would give; the rows just cost one
+    registration.
+    """
+
+    __slots__ = ("_cols", "_data", "_indptr", "_senses", "_rhs", "_names")
+
+    def __init__(self):
+        self._cols: list[int] = []
+        self._data: list[float] = []
+        self._indptr: list[int] = [0]
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._names: list[str] = []
+
+    def add(self, expr: LinExpr, sense: str, name: str = "") -> None:
+        """Record ``expr SENSE 0`` (``"<="``, ``">="`` or ``"=="``)."""
+        terms = expr.terms
+        self._cols.extend(terms)
+        self._data.extend(terms.values())
+        self._indptr.append(len(self._cols))
+        self._senses.append(sense)
+        self._rhs.append(-expr.constant)
+        self._names.append(name)
+
+    def extend(self, indptr, cols, data, sense: str, rhs, name: str = ""
+               ) -> None:
+        """Record rows ``sum(data[k] * x[cols[k]]) SENSE rhs[i]``, row
+        ``i`` owning ``k`` in ``indptr[i]:indptr[i+1]`` (as in
+        :meth:`Model.add_constrs_batch`)."""
+        base = len(self._cols)
+        count = len(indptr) - 1
+        self._cols.extend(cols)
+        self._data.extend(data)
+        self._indptr.extend(base + k for k in indptr[1:])
+        self._senses.extend(repeat(sense, count))
+        self._rhs.extend(rhs)
+        self._names.extend(repeat(name, count))
+
+    def post(self, model: Model) -> range:
+        """Register the recorded rows with ``model``; their row indices."""
+        if not self._senses:
+            return range(model.num_constraints, model.num_constraints)
+        return model.add_constrs_batch(
+            self._indptr, self._cols, self._data, sense=self._senses,
+            rhs=self._rhs, name=self._names,
         )
 
 
@@ -328,9 +408,11 @@ class Model:
     def __init__(self, name: str = "model"):
         self.name = name
         self._vars: list[Var] = []
-        self._var_lb = _Buffer()
-        self._var_ub = _Buffer()
-        self._var_int = _Buffer(dtype=np.uint8)
+        # Column bounds and integrality as plain lists: add_var appends
+        # to them once per column, and the compile makes the arrays.
+        self._var_lb: list[float] = []
+        self._var_ub: list[float] = []
+        self._var_int: list[int] = []
         self._objective: LinExpr = LinExpr()
         self._sense: str = "min"
         self._num_integer = 0
@@ -413,9 +495,12 @@ class Model:
 
     # -- building ---------------------------------------------------------
     def _invalidate(self) -> None:
-        self._compiled = None
-        self._sessions = {}
-        self._materialized = None
+        # The sessions and the materialized handles are built from a
+        # compile, so a model that was never compiled has nothing to drop.
+        if self._compiled is not None:
+            self._compiled = None
+            self._sessions = {}
+            self._materialized = None
 
     def add_var(
         self,
@@ -452,11 +537,11 @@ class Model:
         if lb > ub:
             raise ModelingError(f"variable {name!r} has lb {lb} > ub {ub}")
         index = len(self._vars)
-        var = Var(index, name or f"x{index}", lb=lb, ub=ub, integer=integer)
+        var = Var(index, name or f"x{index}", lb, ub, integer)
         self._vars.append(var)
-        self._var_lb.push(lb)
-        self._var_ub.push(ub)
-        self._var_int.push(1 if integer else 0)
+        self._var_lb.append(lb)
+        self._var_ub.append(ub)
+        self._var_int.append(1 if integer else 0)
         if integer:
             self._num_integer += 1
         self._invalidate()
@@ -543,13 +628,9 @@ class Model:
             for i in range(count)
         ]
         self._vars.extend(new_vars)
-        self._var_lb.extend(lb_arr)
-        self._var_ub.extend(ub_arr)
-        self._var_int.extend(
-            np.ones(count, dtype=np.uint8)
-            if integer
-            else np.zeros(count, dtype=np.uint8)
-        )
+        self._var_lb.extend(lb_arr.tolist())
+        self._var_ub.extend(ub_arr.tolist())
+        self._var_int.extend(repeat(1 if integer else 0, count))
         if integer:
             self._num_integer += count
         self._invalidate()
@@ -616,7 +697,7 @@ class Model:
         rhs=None,
         row_lb=None,
         row_ub=None,
-        name: str = "",
+        name: str | Sequence[str] = "",
     ) -> range:
         """Register many constraint rows from coefficient arrays at once.
 
@@ -635,6 +716,7 @@ class Model:
             rhs: Scalar or per-row right-hand sides (with ``sense``).
             row_lb / row_ub: Explicit two-sided row bounds (scalar or
                 per-row); use these for range rows.
+            name: One name for every row, or a sequence of per-row names.
         Returns:
             ``range(first_row, first_row + n_rows)`` -- the row indices,
             usable as keys in :meth:`resolve_with` overrides.
@@ -731,6 +813,14 @@ class Model:
                 f"bad rhs/bound shape for {n_new} rows: {exc}"
             )
 
+        if isinstance(name, str):
+            names = repeat(name, n_new)
+        else:
+            names = list(name)
+            if len(names) != n_new:
+                raise ModelingError(
+                    f"got {len(names)} row names for {n_new} rows"
+                )
         base = self._row_lb.n
         rows = np.repeat(
             np.arange(base, base + n_new, dtype=np.intp), lengths
@@ -740,7 +830,7 @@ class Model:
         self._row_lb.extend(lo)
         self._row_ub.extend(hi)
         self._row_sense.extend(codes)
-        self._row_names.extend(repeat(name, n_new))
+        self._row_names.extend(names)
         self._row_cons.extend(repeat(None, n_new))
         self._num_batch_rows += n_new
         self._invalidate()
@@ -825,9 +915,9 @@ class Model:
             a=a_matrix,
             row_lb=row_lb,
             row_ub=row_ub,
-            var_lb=self._var_lb.view(),
-            var_ub=self._var_ub.view(),
-            integrality=self._var_int.view(),
+            var_lb=np.array(self._var_lb, dtype=np.float64),
+            var_ub=np.array(self._var_ub, dtype=np.float64),
+            integrality=np.array(self._var_int, dtype=np.uint8),
             max_abs_coef=max_abs_coef,
             max_abs_rhs=max_abs_rhs,
         )
@@ -1010,6 +1100,7 @@ class Model:
         dual_mode: str,
         incremental: bool,
         compile_cached: bool,
+        search: dict | None = None,
     ) -> SolveStats:
         return SolveStats(
             rows=compiled.a.shape[0],
@@ -1025,6 +1116,7 @@ class Model:
             dual_mode=dual_mode,
             incremental=incremental,
             compile_cached=compile_cached,
+            **(search or {}),
         )
 
     def _solve(
@@ -1073,7 +1165,18 @@ class Model:
                 self._sessions[integer] = session
             out = session.run(time_limit, mip_rel_gap, rows, cols)
             elapsed = time.monotonic() - started
-            span.set(solve_seconds=elapsed, status=out.status.value)
+            search = None
+            if out.search is not None:
+                nodes, iterations, bound = out.search
+                # The bound in the model's own sense, like the objective;
+                # None when branch-and-bound proved none.
+                bound = sign * bound + self._objective.constant
+                search = dict(
+                    mip_node_count=nodes, simplex_iterations=iterations,
+                    mip_dual_bound=bound if np.isfinite(bound) else None,
+                )
+            span.set(solve_seconds=elapsed, status=out.status.value,
+                     **(search or {}))
         solved = out.x is not None
         objective = (
             float(sign * out.objective) + self._objective.constant
@@ -1097,7 +1200,7 @@ class Model:
             stats=self._make_stats(
                 compiled, backend, elapsed,
                 "lp" if duals is not None else "none",
-                incremental, compile_cached,
+                incremental, compile_cached, search,
             ),
         )
 

@@ -65,6 +65,13 @@ class SolveStats:
         incremental: Whether this was a :meth:`Model.resolve_with`
             re-solve reusing the compiled structure.
         compile_cached: Whether the compile cache supplied the matrices.
+        mip_node_count: Branch-and-bound nodes HiGHS explored (MILPs
+            only; ``None`` for LPs and relaxations).
+        simplex_iterations: Simplex iterations over the whole
+            branch-and-bound (MILPs only).
+        mip_dual_bound: The proven bound on the optimum, in the model's
+            own sense (MILPs only; ``None`` also when HiGHS proved no
+            finite bound).  With the objective it gives the final gap.
     """
 
     rows: int
@@ -80,6 +87,9 @@ class SolveStats:
     dual_mode: str
     incremental: bool = False
     compile_cached: bool = False
+    mip_node_count: int | None = None
+    simplex_iterations: int | None = None
+    mip_dual_bound: float | None = None
 
     @property
     def total_seconds(self) -> float:

@@ -14,23 +14,24 @@ capacities) and a concrete failed network (reduced capacities, path caps
 from the fail-over rules) -- which is exactly how the paper's inner
 problems are structured.
 
-Constraints are assembled through :meth:`Model.add_constrs_batch` -- one
-call per constraint family (path caps, demands, LAG capacities) -- so the
-model compiles without per-term Python loops.
+Constraints are assembled family by family (path caps, demands, LAG
+capacities) into one :class:`~repro.solver.model.RowBatch`, registered in
+one :meth:`Model.add_constrs_batch` call, so the model compiles without
+per-term Python loops.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-
-import numpy as np
+from itertools import repeat
 
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology
 from repro.paths.ksp import Path
 from repro.paths.pathset import PathSet
 from repro.solver import LinExpr, Model
+from repro.solver.model import RowBatch
 from repro.te.base import (
     TESolution,
     effective_capacities,
@@ -80,7 +81,7 @@ class TotalFlowTE:
         model = Model("total-flow-te")
         flow: dict[tuple[Pair, Path], object] = {}
         per_lag: dict[LagKey, list[int]] = defaultdict(list)
-        # Per-family COO accumulators, flushed in one batch call each.
+        # Per-family COO accumulators, registered together in one batch.
         cap_cols: list[int] = []
         cap_rhs: list[float] = []
         dem_cols: list[int] = []
@@ -88,9 +89,9 @@ class TotalFlowTE:
         dem_rhs: list[float] = []
         for pair, volume in demands.items():
             dp = paths[pair]
-            candidates = dp.primaries if self.primary_only else dp.paths
+            candidates = set(dp.primaries if self.primary_only else dp.paths)
             usable = [
-                p for p in usable_paths_for(dp, path_caps) if p in set(candidates)
+                p for p in usable_paths_for(dp, path_caps) if p in candidates
             ]
             for path in usable:
                 var = model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
@@ -104,37 +105,24 @@ class TotalFlowTE:
             if len(dem_cols) > dem_indptr[-1]:
                 dem_indptr.append(len(dem_cols))
                 dem_rhs.append(volume)
-        if cap_cols:
-            model.add_constrs_batch(
-                np.arange(len(cap_cols) + 1), cap_cols, rhs=cap_rhs,
-                name="path_cap",
-            )
-        if dem_rhs:
-            model.add_constrs_batch(
-                dem_indptr, dem_cols, rhs=dem_rhs, name="dem"
-            )
-        if per_lag:
-            lag_cols: list[int] = []
-            lag_indptr: list[int] = [0]
-            lag_rhs: list[float] = []
-            for key, cols_on_lag in per_lag.items():
-                lag_cols.extend(cols_on_lag)
-                lag_indptr.append(len(lag_cols))
-                lag_rhs.append(caps[key])
-            model.add_constrs_batch(
-                lag_indptr, lag_cols, rhs=lag_rhs, name="cap"
-            )
+        lag_cols: list[int] = []
+        lag_indptr: list[int] = [0]
+        lag_rhs: list[float] = []
+        for key, cols_on_lag in per_lag.items():
+            lag_cols.extend(cols_on_lag)
+            lag_indptr.append(len(lag_cols))
+            lag_rhs.append(caps[key])
+        rows = RowBatch()
+        rows.extend(range(len(cap_cols) + 1), cap_cols,
+                    repeat(1.0, len(cap_cols)), "<=", cap_rhs, "path_cap")
+        rows.extend(dem_indptr, dem_cols, repeat(1.0, len(dem_cols)), "<=",
+                    dem_rhs, "dem")
+        rows.extend(lag_indptr, lag_cols, repeat(1.0, len(lag_cols)), "<=",
+                    lag_rhs, "cap")
+        rows.post(model)
 
         model.set_objective(
-            LinExpr.from_arrays(
-                np.fromiter(
-                    (v.index for v in flow.values()),
-                    dtype=np.intp,
-                    count=len(flow),
-                ),
-                np.ones(len(flow)),
-            ),
-            sense="max",
+            LinExpr({v.index: 1.0 for v in flow.values()}), sense="max"
         )
         result = model.solve()
         if not result.status.ok or result.x is None:

@@ -251,6 +251,23 @@ class TestResultMetadata:
             raha.degradation / diamond.average_lag_capacity()
         )
 
+    def test_encode_seconds_include_the_kkt_embedding(
+            self, diamond, diamond_paths, monkeypatch):
+        import time
+
+        from repro.solver.duality import InnerLP
+
+        embed = InnerLP.embed_kkt
+
+        def slow_embed(self):
+            time.sleep(0.05)
+            embed(self)
+
+        monkeypatch.setattr(InnerLP, "embed_kkt", slow_embed)
+        config = RahaConfig(fixed_demands={("a", "d"): 12.0}, max_failures=1)
+        raha = RahaAnalyzer(diamond, diamond_paths, config).analyze()
+        assert raha.encode_seconds >= 0.05
+
     def test_verify_can_be_disabled(self, diamond, diamond_paths):
         config = RahaConfig(demand_bounds={("a", "d"): (0.0, 30.0)},
                             max_failures=1, verify=False)

@@ -190,3 +190,66 @@ class TestResolveAt:
         host.set_objective(-inner.objective_expr(), sense="max")
         r = host.solve().require_ok()
         assert inner.verify_optimality(r) == pytest.approx(b, abs=1e-5)
+
+
+class TestAddRows:
+    """``add_rows`` (split form, one batch) builds what ``add_constr`` does."""
+
+    @staticmethod
+    def _build(split_form: bool):
+        import numpy as np
+
+        from repro.solver import LinExpr
+
+        host = Model("h")
+        d = host.add_var(lb=0, ub=7, name="d")
+        u = host.add_var(binary=True, name="u")
+        inner = InnerLP(host, "inner", sense="max")
+        x = inner.add_var(obj_coef=1.0, value_bound=7.0, name="x")
+        y = inner.add_var(obj_coef=2.0, value_bound=7.0, name="y")
+        cap = LinExpr({u.index: -4.0}, 6.5)  # a variable capacity 6.5 - 4u
+        if split_form:
+            inner.add_rows([
+                (LinExpr({x.index: 1.0, y.index: 1.0}), d, "<=", 1.0, 7.0,
+                 "dem"),
+                (LinExpr({y.index: 1.0}), cap, "<=", 1.0, 6.5, "cap"),
+                (LinExpr({x.index: 1.0, y.index: -1.0}), 0.0, "==", 2.0,
+                 float("inf"), "tie"),
+                (LinExpr({x.index: 1.0}), 3, "<=", 1.0, 3.0, "gate"),
+            ])
+        else:
+            inner.add_constr(x + y <= d, dual_bound=1.0, slack_bound=7.0,
+                             name="dem")
+            inner.add_constr(y <= cap, dual_bound=1.0, slack_bound=6.5,
+                             name="cap")
+            inner.add_constr(x == y, dual_bound=2.0, name="tie")
+            inner.add_constr(x <= 3, dual_bound=1.0, slack_bound=3.0,
+                             name="gate")
+        inner.embed_kkt()
+        compiled, _ = host._ensure_compiled()
+        arrays = (compiled.c, compiled.a.data, compiled.a.indices,
+                  compiled.a.indptr, compiled.row_lb, compiled.row_ub,
+                  compiled.var_lb, compiled.var_ub, compiled.integrality)
+        rhs = [(r.rhs.terms, r.rhs.constant.hex()) for r in inner._rows]
+        return [np.asarray(a).tobytes() for a in arrays], rhs
+
+    def test_same_host_model_and_kkt_data_as_add_constr(self):
+        assert self._build(True) == self._build(False)
+
+    def test_rejects_a_side_with_the_wrong_variables(self):
+        from repro.solver import LinExpr
+
+        host = Model()
+        d = host.add_var(ub=5, name="d")
+        inner = InnerLP(host, "inner")
+        x = inner.add_var(obj_coef=1.0, value_bound=5.0)
+        with pytest.raises(ModelingError, match="right-hand side"):
+            inner.add_rows([(LinExpr({x.index: 1.0}), x, "<=", 1.0, 5.0,
+                             "bad")])
+        with pytest.raises(ModelingError, match="left-hand side"):
+            inner.add_rows([(LinExpr({d.index: 1.0}), 1.0, "<=", 1.0, 5.0,
+                             "bad")])
+        with pytest.raises(ModelingError, match="<= or =="):
+            inner.add_rows([(LinExpr({x.index: 1.0}), d, ">=", 1.0, 5.0,
+                             "bad")])
+        assert host.num_constraints == 0

@@ -162,3 +162,51 @@ class TestQuicksum:
         b = sum((2 * x for x in xs), LinExpr())
         assert a.terms == b.terms
         assert a.constant == b.constant
+
+
+class TestWeightedQuicksum:
+    @staticmethod
+    def _mixed(model, count=2000):
+        import random
+
+        rng = random.Random(7)
+        xs = [model.add_var() for _ in range(50)]
+        items, coefs = [], []
+        for i in range(count):
+            x = rng.choice(xs)
+            if i % 3:
+                items.append(x)
+            else:
+                items.append(rng.uniform(-2, 2) * x + rng.choice(xs)
+                             + rng.uniform(-1, 1))
+            coefs.append(rng.choice([0.0, 1.0, -0.5, rng.uniform(-3, 3)]))
+        return items, coefs
+
+    def test_equals_the_in_order_fold_bit_for_bit(self, model):
+        items, coefs = self._mixed(model)
+        fold = LinExpr()
+        for item, coef in zip(items, coefs):
+            fold = fold + LinExpr._coerce(item) * float(coef)
+        got = quicksum(items, coefs)
+        assert list(got.terms) == list(fold.terms)
+        assert [c.hex() for c in got.terms.values()] == \
+            [c.hex() for c in fold.terms.values()]
+        assert got.constant.hex() == fold.constant.hex()
+
+    def test_accumulates_without_copying_per_item(self, model, monkeypatch):
+        items, coefs = self._mixed(model)
+        copies = []
+        original = LinExpr.copy
+
+        def counting(self):
+            copies.append(1)
+            return original(self)
+
+        monkeypatch.setattr(LinExpr, "copy", counting)
+        quicksum(items, coefs)
+        assert len(copies) < len(items) // 100
+
+    def test_rejects_strings(self, model):
+        x = model.add_var()
+        with pytest.raises(TypeError):
+            quicksum([x, "nope"], [1.0, 2.0])

@@ -294,3 +294,55 @@ def test_infinite_bounds_still_solve():
     m.set_objective(x.to_expr(), sense="max")
     assert m.solve().objective == 3.0
     assert m.resolve_with({cap: float("inf")}).status is SolveStatus.UNBOUNDED
+
+
+class TestSearchTelemetry:
+    """MILP runs report their branch-and-bound search; LPs do not."""
+
+    def test_motivating_example_milp_reports_its_search(self):
+        import math
+
+        from repro import PathSet, RahaAnalyzer, RahaConfig
+        from repro.network.builder import motivating_example
+        from repro.obs.trace import Tracer, tracing
+
+        topo = motivating_example()
+        paths = PathSet.k_shortest(topo, [("B", "D"), ("C", "D")],
+                                   num_primary=1, num_backup=1)
+        config = RahaConfig(
+            demand_bounds={("B", "D"): (0, 18), ("C", "D"): (0, 15)},
+            max_failures=1)
+        with tracing(Tracer()) as tracer:
+            result = RahaAnalyzer(topo, paths, config).analyze()
+        stats = result.solver_stats
+        assert isinstance(stats["mip_node_count"], int)
+        assert stats["mip_node_count"] >= 0
+        assert stats["simplex_iterations"] > 0
+        assert math.isfinite(stats["mip_dual_bound"])
+        # A maximization proves an upper bound on its optimum.
+        assert stats["mip_dual_bound"] >= result.degradation - 1e-6
+        [milp] = [s for s in tracer.export() if s["name"] == "milp_solve"]
+        assert milp["attrs"]["mip_node_count"] == stats["mip_node_count"]
+        assert milp["attrs"]["simplex_iterations"] == \
+            stats["simplex_iterations"]
+        assert milp["attrs"]["mip_dual_bound"] == stats["mip_dual_bound"]
+
+    def test_lp_and_resolve_with_carry_none(self):
+        m = Model("lp")
+        x = m.add_var(ub=4)
+        con = m.add_constr(x <= 3)
+        m.set_objective(x, sense="max")
+        for result in (m.solve(), m.resolve_with({con: 2.0})):
+            assert result.status is SolveStatus.OPTIMAL
+            stats = result.stats
+            assert stats.mip_node_count is None
+            assert stats.simplex_iterations is None
+            assert stats.mip_dual_bound is None
+
+    def test_relaxation_carries_none(self):
+        m = Model("relax")
+        x = m.add_var(ub=4, integer=True)
+        m.add_constr(2 * x <= 5)
+        m.set_objective(x, sense="max")
+        assert m.solve().stats.mip_node_count is not None
+        assert m.solve(relax=True).stats.mip_node_count is None
