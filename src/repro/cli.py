@@ -20,8 +20,9 @@ Commands mirror Raha's two operational modes plus utilities:
   pair with ``serve --no-local-workers`` for a pure coordinator.
 * ``cache``  -- inspect (``stats``) or evict (``prune``) a result
   cache; live service jobs' entries are never pruned.
-* ``bench``  -- run the benchmark suite and gate on performance
-  regressions against a committed baseline (see :mod:`repro.bench`).
+* ``bench``  -- run the repository benchmark (``perfbench/``) into a
+  ``BENCH_<label>.json`` and gate one such document against another
+  (see :mod:`repro.bench`).
 
 Topologies are JSON (see :mod:`repro.network.serialization`) or GraphML;
 demands and paths are JSON.  Example round trip::
@@ -1105,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="prune entries older than this")
     p_ca.set_defaults(func=_cmd_cache)
 
-    from repro.bench.cli import add_bench_parser
+    from repro.bench import add_parser as add_bench_parser
 
     add_bench_parser(sub)
     return parser

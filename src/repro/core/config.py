@@ -221,67 +221,6 @@ class MonteCarloConfig:
 
 
 @dataclass
-class BenchConfig:
-    """Knobs for the benchmark harness (:mod:`repro.bench`).
-
-    One config drives both halves of the regression loop: how ``bench
-    run`` samples each case (warmup + repetitions) and how ``bench
-    compare`` decides that a new median is a regression rather than
-    noise.
-
-    The comparison ceiling for a case is::
-
-        allowed = base_median * (1 + rel_tolerance)
-                  + mad_multiplier * max(base_mad, new_mad)
-                  + abs_floor_seconds
-
-    and the case regresses when its new median exceeds it.  The MAD
-    term scales the threshold with the case's *observed* run-to-run
-    noise (a jittery case needs more slack than a steady one); the
-    absolute floor keeps microsecond-scale cases from flagging on
-    scheduler jitter alone.
-
-    Attributes:
-        warmup: Un-timed runs per case before sampling starts
-            (imports, allocator warmup, compile caches).
-        repetitions: Timed runs per case; the median is the headline
-            number, the MAD the noise estimate.
-        rel_tolerance: Fractional slowdown of the baseline median
-            tolerated before flagging (``0.25`` = 25%).
-        mad_multiplier: How many MADs of slack the noisier of the two
-            runs adds to the ceiling.
-        abs_floor_seconds: Absolute slack added to every ceiling.
-    """
-
-    warmup: int = 1
-    repetitions: int = 3
-    rel_tolerance: float = 0.25
-    mad_multiplier: float = 5.0
-    abs_floor_seconds: float = 0.05
-
-    def __post_init__(self):
-        if self.warmup < 0:
-            raise ModelingError(f"warmup must be >= 0, got {self.warmup}")
-        if self.repetitions < 1:
-            raise ModelingError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        if self.rel_tolerance < 0:
-            raise ModelingError(
-                f"rel_tolerance must be >= 0, got {self.rel_tolerance}"
-            )
-        if self.mad_multiplier < 0:
-            raise ModelingError(
-                f"mad_multiplier must be >= 0, got {self.mad_multiplier}"
-            )
-        if self.abs_floor_seconds < 0:
-            raise ModelingError(
-                f"abs_floor_seconds must be >= 0, got "
-                f"{self.abs_floor_seconds}"
-            )
-
-
-@dataclass
 class SupervisionConfig:
     """Self-healing supervision policy for the analysis service.
 

@@ -81,13 +81,6 @@ class FailureEncoding:
         self._add_scenario_constraints()
 
     # -- failability --------------------------------------------------------
-    def link_is_failable(self, key: LagKey, link_index: int) -> bool:
-        """Whether the failure search may bring this link down."""
-        if lag_key(*key) in self.non_failable_lags:
-            return False
-        lag = self.topology.require_lag(*key)
-        return self._failable(lag, lag.links[link_index], link_index)
-
     def _failable(self, lag, link, link_index: int) -> bool:
         if lag.key in self.non_failable_lags or not link.can_fail:
             return False
@@ -315,14 +308,6 @@ class FailureEncoding:
             if isinstance(u, Var) and result.value(u) > 0.5:
                 failed.append((key, i))
         return FailureScenario(failed)
-
-    def down_path_indices(self, result: SolveResult) -> dict[Pair, list[int]]:
-        """Which path indices the solution marks as down, per pair."""
-        out: dict[Pair, list[int]] = {}
-        for (pair, j), u in self.path_down.items():
-            if isinstance(u, Var) and result.value(u) > 0.5:
-                out.setdefault(pair, []).append(j)
-        return out
 
 
 def _at_most(expr: LinExpr, bound) -> Constraint:

@@ -70,13 +70,13 @@ class AdmissionError(ServiceError):
 
 
 class BenchError(ReproError):
-    """A benchmark harness operation failed.
+    """A benchmark run or comparison could not be made.
 
-    Raised by :mod:`repro.bench` for unloadable case modules, unknown
-    case names or tags, malformed or wrong-schema result documents, and
-    comparisons over incompatible result files.  Performance
-    *regressions* are not errors -- ``repro bench compare`` reports
-    them through its exit code so CI can gate on them.
+    Raised by :mod:`repro.bench` when the benchmark exits non-zero, a
+    ``BENCH_*.json`` document is unreadable, or two documents cannot be
+    compared.  Performance *regressions* are not errors -- ``repro
+    bench compare`` reports them through its exit code so CI can gate
+    on them.
     """
 
 

@@ -674,11 +674,6 @@ class Model:
         self._invalidate()
         return constraint
 
-    def add_constrs(self, constraints: Iterable[Constraint], name: str = "") -> None:
-        """Register several constraints, numbering their names."""
-        for i, con in enumerate(constraints):
-            self.add_constr(con, name=f"{name}[{i}]" if name else "")
-
     def add_range_constr(
         self, expr, lo: float, hi: float, name: str = ""
     ) -> RangeConstraint:
