@@ -24,6 +24,11 @@ workloads, ``run_seconds`` and every metric.
      seconds stays under ``base_median * (1 + REL_TOLERANCE + slack) +
      MAD_MULTIPLIER * max(MAD) + ABS_FLOOR_S``.
 
+* ``bench check NEW`` checks parts 1 and 3 alone.  They need no BASE
+  and hold on any host: the call counts they relate are fixed by the
+  seed, while busy seconds move with the host and its load.  It exits
+  like ``compare``.
+
 ``--slack`` is 0 for two documents made on one host, and larger when
 BASE was recorded on other hardware.
 """
@@ -207,14 +212,34 @@ def _grouped(doc: dict) -> dict[tuple[str, int], list[dict]]:
     return groups
 
 
+def check(new: dict) -> tuple[str, list[str]]:
+    """Gate parts 1 and 3, which read ``new`` alone; returns a summary
+    line and what broke (empty on a pass).  Raises :class:`BenchError`
+    when ``new`` holds no runs."""
+    if not new["runs"]:
+        raise BenchError("NEW holds no runs")
+    broken = [f"{run['workload']} seed {run['seed']} trace "
+              f"{run['trace']}: not correct"
+              for run in new["runs"] if run["result"]["correct"] is not True]
+    traced = [run for run in new["runs"] if run["trace"] == 1]
+    relations = 0
+    for run in traced:
+        relations += len(RELATIONS.get(run["workload"], ()))
+        broken += [f"{run['workload']} seed {run['seed']}: relation "
+                   f"broken: {relation}"
+                   for relation in RELATIONS.get(run["workload"], ())
+                   if not _holds(run, relation)]
+    return (f"checked: {len(new['runs'])} runs correct, {relations} "
+            f"relations in traced runs"), broken
+
+
 def compare(base: dict, new: dict, benchmark: dict,
             slack: float = 0.0) -> tuple[list[str], list[str]]:
     """Gate ``new`` against ``base``; returns the table's lines and the
     regressions (empty on a pass).  Raises :class:`BenchError` when the
     documents cannot be compared."""
+    summary, regressions = check(new)
     base_runs, new_runs = _grouped(base), _grouped(new)
-    if not new_runs:
-        raise BenchError("NEW holds no runs")
     for workload, trace in new_runs:
         if (workload, trace) not in base_runs:
             raise BenchError(f"BASE holds no trace-{trace} run of "
@@ -222,11 +247,7 @@ def compare(base: dict, new: dict, benchmark: dict,
 
     lines = [f"{'workload':<13}{'metric':<24}{'base':>12}{'new':>12}"
              f"{'ratio':>8}{'limit':>8}  verdict"]
-    regressions = [f"{run['workload']} seed {run['seed']} trace "
-                   f"{run['trace']}: not correct"
-                   for runs in new_runs.values() for run in runs
-                   if run["result"]["correct"] is not True]
-    relations = layers = 0
+    layers = 0
     for (workload, trace), runs in sorted(new_runs.items()):
         before = base_runs[workload, trace]
         if trace == 0:
@@ -234,19 +255,11 @@ def compare(base: dict, new: dict, benchmark: dict,
                                       slack)
             lines += rows
             regressions += worse
-            continue
-        for run in runs:
-            relations += len(RELATIONS.get(workload, ()))
-            regressions += [
-                f"{workload} seed {run['seed']}: relation broken: {relation}"
-                for relation in RELATIONS.get(workload, ())
-                if not _holds(run, relation)]
-        checked, slower = _layer_seconds(workload, before, runs, slack)
-        layers += checked
-        regressions += slower
-    lines.append(f"checked: {sum(map(len, new_runs.values()))} runs "
-                 f"correct, {relations} relations in traced runs, "
-                 f"{layers} per-layer times")
+        else:
+            checked, slower = _layer_seconds(workload, before, runs, slack)
+            layers += checked
+            regressions += slower
+    lines.append(f"{summary}, {layers} per-layer times")
     return lines, regressions
 
 
@@ -303,19 +316,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _verdict(lines: list[str], regressions: list[str], ok: str) -> int:
+    print("\n".join(lines))
+    for regression in regressions:
+        print(f"REGRESSION: {regression}")
+    if regressions:
+        return EXIT_REGRESSION
+    print(f"OK: {ok}")
+    return 0
+
+
+def _cmd_check(args) -> int:
+    summary, broken = check(_load(args.new))
+    return _verdict([summary], broken, args.new)
+
+
 def _cmd_compare(args) -> int:
     try:
         lines, regressions = compare(_load(args.base), _load(args.new),
                                      _benchmark(), args.slack)
     except KeyError as exc:
         raise BenchError(f"a run lacks the metric {exc}") from exc
-    print("\n".join(lines))
-    for regression in regressions:
-        print(f"REGRESSION: {regression}")
-    if regressions:
-        return EXIT_REGRESSION
-    print(f"OK: {args.new} against {args.base}, slack {args.slack}")
-    return 0
+    return _verdict(lines, regressions,
+                    f"{args.new} against {args.base}, slack {args.slack}")
 
 
 def _cmd_bench(args) -> int:
@@ -354,3 +377,10 @@ def add_parser(sub) -> None:
                        help="added to every relative bound (0 on one "
                             "host; 2.0 across hardware)")
     p_cmp.set_defaults(bench_action=_cmd_compare)
+
+    p_chk = actions.add_parser(
+        "check", help="check that every run in NEW is correct and every "
+                      "traced run keeps the call-count relations; exit "
+                      f"{EXIT_REGRESSION} if not")
+    p_chk.add_argument("new", help="the BENCH_*.json to check")
+    p_chk.set_defaults(bench_action=_cmd_check)

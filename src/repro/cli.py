@@ -21,8 +21,9 @@ Commands mirror Raha's two operational modes plus utilities:
 * ``cache``  -- inspect (``stats``) or evict (``prune``) a result
   cache; live service jobs' entries are never pruned.
 * ``bench``  -- run the repository benchmark (``perfbench/``) into a
-  ``BENCH_<label>.json`` and gate one such document against another
-  (see :mod:`repro.bench`).
+  ``BENCH_<label>.json``, gate one such document against another, or
+  check one's correctness and call-count relations alone (see
+  :mod:`repro.bench`).
 
 Topologies are JSON (see :mod:`repro.network.serialization`) or GraphML;
 demands and paths are JSON.  Example round trip::

@@ -75,8 +75,8 @@ class BenchError(ReproError):
     Raised by :mod:`repro.bench` when the benchmark exits non-zero, a
     ``BENCH_*.json`` document is unreadable, or two documents cannot be
     compared.  Performance *regressions* are not errors -- ``repro
-    bench compare`` reports them through its exit code so CI can gate
-    on them.
+    bench compare`` and ``bench check`` report them through their exit
+    code so CI can gate on them.
     """
 
 

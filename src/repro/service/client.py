@@ -8,8 +8,10 @@ server's ``Retry-After``, other HTTP errors as
 message and status attached.
 
 Transient transport failures -- connection refused during a service
-restart, a reset mid-poll -- are retried with bounded, deterministic
-jittered backoff, but only where a replay is safe: idempotent GETs
+restart, a reset mid-poll, a response cut off after its headers -- are
+:class:`~repro.exceptions.ServiceError` with no ``status``, and are
+retried with bounded, deterministic jittered backoff, but only where a
+replay is safe: idempotent GETs
 (status/result/health polling) always, and ``submit`` explicitly,
 because submissions are deduped by spec content hash (``spec_hash``)
 so replaying one is a no-op on the second delivery.  Other POSTs and
@@ -21,6 +23,7 @@ are never retried here; they are answers, not failures.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import time
 import urllib.error
@@ -117,6 +120,12 @@ class ServiceClient:
             raise ServiceError(
                 f"cannot reach service at {self.base_url}: "
                 f"{exc.reason}") from exc
+        except (http.client.HTTPException, ConnectionError) as exc:
+            # The connection broke after the request went out (a server
+            # that died mid-response): transport-level too.
+            raise ServiceError(
+                f"lost the response from {self.base_url}: "
+                f"{exc!r}") from exc
 
     def _raise_for(self, status: int, doc: dict, headers: dict) -> None:
         if status == 429:

@@ -1,5 +1,8 @@
 """Client transport retries: bounded, jittered, and replay-safe only."""
 
+import socket
+import threading
+
 import pytest
 
 from repro.exceptions import ServiceError
@@ -71,6 +74,48 @@ class TestTransientRetries:
         with pytest.raises(ServiceError):
             client._request("GET", "/healthz")
         assert client.calls == 1
+
+
+def cut_off_server(responses: int) -> tuple[str, threading.Thread]:
+    """A localhost server that answers ``responses`` requests with
+    headers promising more body than it sends, then hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            for _ in range(responses):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"HTTP/1.1 201 Created\r\n"
+                                 b"Content-Type: application/json\r\n"
+                                 b"Content-Length: 200\r\n\r\n{\"id\"")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    return f"http://{host}:{port}", thread
+
+
+class TestCutOffResponse:
+    def test_cut_off_response_is_a_transport_error(self):
+        url, server = cut_off_server(responses=1)
+        client = ServiceClient(url, retries=0)
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "sweep_spec"})
+        assert err.value.status is None
+        server.join(timeout=10)
+
+    def test_cut_off_submit_is_retried(self):
+        url, server = cut_off_server(responses=2)
+        client = ServiceClient(url, retries=1, retry_backoff_seconds=0.001,
+                               retry_backoff_max_seconds=0.002)
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "sweep_spec"})
+        assert err.value.status is None
+        # Both responses were read: the second came from the retry.
+        server.join(timeout=10)
+        assert not server.is_alive()
 
 
 class TestBackoff:

@@ -42,11 +42,52 @@ def runs(doc, workload, trace):
             if run["workload"] == workload and run["trace"] == trace]
 
 
-class TestCompare:
-    @pytest.fixture(autouse=True)
-    def at_root(self, monkeypatch):
-        monkeypatch.chdir(ROOT)  # where BENCHMARK.json declares bounds
+def gate(verb, new) -> int:
+    """``bench compare BASE new`` or ``bench check new``."""
+    base = [str(BASE)] if verb == "compare" else []
+    return cli.main(["bench", verb, *base, new])
 
+
+@pytest.fixture(autouse=True)
+def at_root(monkeypatch):
+    monkeypatch.chdir(ROOT)  # where BENCHMARK.json declares bounds
+
+
+@pytest.mark.parametrize("verb", ["compare", "check"])
+class TestCorrectnessAndRelations:
+    """Gate parts 1 and 3, which both verbs run."""
+
+    def test_committed_point_passes(self, verb, capsys):
+        assert gate(verb, str(BASE)) == 0
+        assert "REGRESSION" not in capsys.readouterr().out
+
+    def test_extra_lp_solve_breaks_a_relation(self, verb, tmp_path, capsys):
+        def doctor(doc):
+            metrics = runs(doc, "mc-cold", 1)[0]["result"]["metrics"]
+            metrics["solver.lp_solve.n"]["value"] += 1
+        assert gate(verb, doctored(tmp_path, doctor)) == EXIT_REGRESSION
+        assert "solver.lp_solve.n == solver.resolve_with.n" \
+            in capsys.readouterr().out
+
+    def test_missing_metric_breaks_a_relation(self, verb, tmp_path):
+        def doctor(doc):
+            del runs(doc, "svc-open", 1)[0]["result"]["metrics"][
+                "service.store.claim.n"]
+        assert gate(verb, doctored(tmp_path, doctor)) == EXIT_REGRESSION
+
+    def test_incorrect_run_regresses(self, verb, tmp_path):
+        def doctor(doc):
+            runs(doc, "svc-open", 0)[0]["result"]["correct"] = False
+        assert gate(verb, doctored(tmp_path, doctor)) == EXIT_REGRESSION
+
+    def test_empty_or_unreadable_new_is_an_error(self, verb, tmp_path):
+        def doctor(doc):
+            doc["runs"] = []
+        assert gate(verb, doctored(tmp_path, doctor)) == 1
+        assert gate(verb, str(tmp_path / "absent.json")) == 1
+
+
+class TestCompare:
     def compare(self, new, *extra, base=BASE) -> int:
         return cli.main(["bench", "compare", str(base), new, *extra])
 
@@ -61,13 +102,11 @@ class TestCompare:
             for seed in (1, 2, 3) for trace in (0, 1)}
         assert set(RELATIONS) == {w["name"] for w in benchmark["workloads"]}
 
-    def test_against_itself_passes(self, capsys):
-        assert self.compare(str(BASE)) == 0
-        assert "REGRESSION" not in capsys.readouterr().out
-
     def test_four_times_slower_regresses(self, tmp_path):
-        assert self.compare(doctored(tmp_path, slowdown(4.0))) \
-            == EXIT_REGRESSION
+        new = doctored(tmp_path, slowdown(4.0))
+        assert self.compare(new) == EXIT_REGRESSION
+        # check reads no times: the host's speed cannot fail it.
+        assert gate("check", new) == 0
 
     def test_quarter_throughput_alone_regresses(self, tmp_path):
         def doctor(doc):
@@ -83,19 +122,6 @@ class TestCompare:
         assert self.compare(doctored(tmp_path, doctor)) == EXIT_REGRESSION
         assert "mc-cold solver.lp_solve.s" in capsys.readouterr().out
 
-    def test_extra_lp_solve_breaks_a_relation(self, tmp_path, capsys):
-        def doctor(doc):
-            metrics = runs(doc, "mc-cold", 1)[0]["result"]["metrics"]
-            metrics["solver.lp_solve.n"]["value"] += 1
-        assert self.compare(doctored(tmp_path, doctor)) == EXIT_REGRESSION
-        assert "solver.lp_solve.n == solver.resolve_with.n" \
-            in capsys.readouterr().out
-
-    def test_incorrect_run_regresses(self, tmp_path):
-        def doctor(doc):
-            runs(doc, "svc-open", 0)[0]["result"]["correct"] = False
-        assert self.compare(doctored(tmp_path, doctor)) == EXIT_REGRESSION
-
     def test_slack_lets_a_cross_hardware_slowdown_pass(self, tmp_path):
         new = doctored(tmp_path, slowdown(2.5))
         assert self.compare(new) == EXIT_REGRESSION
@@ -107,12 +133,6 @@ class TestCompare:
                            if run["workload"] != "svc-open"]
         base = doctored(tmp_path, doctor, name="BENCH_base.json")
         assert self.compare(str(BASE), base=base) == 1
-
-    def test_empty_or_unreadable_new_is_an_error(self, tmp_path):
-        def doctor(doc):
-            doc["runs"] = []
-        assert self.compare(doctored(tmp_path, doctor)) == 1
-        assert self.compare(str(tmp_path / "absent.json")) == 1
 
 
 #: Stands in for perfbench/run.py: one progress line, then the result.
