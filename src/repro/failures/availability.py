@@ -33,8 +33,9 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
   scenario object or document exists for a cache hit.  The healthy
   flow is memoized per instance in the same cache, so a warm re-run
   solves no LP at all.  Without a cache no key is computed.  Fresh
-  entries are written behind the solves (:meth:`ResultCache.writer`)
-  and are all on disk when the estimate returns.
+  entries are written behind the solves (:meth:`ResultCache.writer`),
+  handed to the writer thread one chunk at a time, and are all on disk
+  when the estimate returns.
 * **Adaptive stopping** -- an optional ``ci_width`` target keeps
   drawing rounds of samples until the normal-approximation confidence
   interval on availability is narrow enough.
@@ -52,7 +53,7 @@ import hashlib
 import logging
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from statistics import NormalDist
 
@@ -187,6 +188,7 @@ class ScenarioSampler:
             sorted(range(len(triples)), key=triples.__getitem__),
             dtype=np.intp)
         self._doc_triples = [triples[j] for j in self._doc_order]
+        self._doc_links = [self.links[j] for j in self._doc_order]
 
     @property
     def num_links(self) -> int:
@@ -226,9 +228,10 @@ class ScenarioSampler:
         return [list(self._doc_triples[p]) for p in positions]
 
     def scenario_at(self, positions) -> FailureScenario:
-        """``scenario_for`` of the row failing ``positions``."""
-        return FailureScenario(self.links[self._doc_order[p]]
-                               for p in positions)
+        """``scenario_for`` of the row failing ``positions``, built from
+        the canonical link tuples of :attr:`links` as they are."""
+        return FailureScenario.from_canonical(
+            frozenset([self._doc_links[p] for p in positions]))
 
     def delivered_keyer(self, instance_key: str):
         """A function from failed positions to the delivered-flow key.
@@ -292,10 +295,9 @@ class _ChunkFault(RuntimeError):
     """A chaos-injected ``availability.chunk`` failure."""
 
 
-def _resolve_chunk(make_resolver, docs: list,
-                   chunk_index: int | None = None) -> Iterator[float]:
-    """Delivered flow for each scenario document, in order, each one
-    solved as the iterator reaches it.
+def _resolve_chunk(make_resolver, scenarios: Iterable[FailureScenario],
+                   chunk_index: int | None = None) -> list[float]:
+    """Delivered flow for each scenario, in order.
 
     ``make_resolver`` returns the :class:`ScenarioResolver` to use; it
     is called only after the chaos check, so a faulted chunk never pays
@@ -310,8 +312,7 @@ def _resolve_chunk(make_resolver, docs: list,
             "availability.chunk", key=f"chunk:{chunk_index}"):
         raise _ChunkFault("chaos: injected availability chunk failure")
     resolver = make_resolver()
-    return (float(resolver.delivered(scenario_from_doc(doc)))
-            for doc in docs)
+    return [float(resolver.delivered(scenario)) for scenario in scenarios]
 
 
 def availability_chunk_task(payload: dict) -> dict:
@@ -319,14 +320,15 @@ def availability_chunk_task(payload: dict) -> dict:
 
     Rebuilds the instance from its serialized documents, compiles one
     :class:`ScenarioResolver`, and resolves every scenario in the
-    chunk (see :func:`_resolve_chunk` for the chaos site).
+    chunk, each rebuilt from its document (see :func:`_resolve_chunk`
+    for the chaos site).
     """
     params = payload["params"]
-    delivered = list(_resolve_chunk(
+    delivered = _resolve_chunk(
         lambda: ScenarioResolver(*_instance_from_docs(payload["instance"])),
-        params["scenarios"],
+        map(scenario_from_doc, params["scenarios"]),
         params["chunk_index"],
-    ))
+    )
     return {"chunk_index": params["chunk_index"], "delivered": delivered}
 
 
@@ -390,12 +392,16 @@ class _ChunkEvaluator:
     from the *serialized* instance documents -- the same LP, in the
     same variable order, whether it is built in a worker process or in
     the parent for the fallback path -- which is what makes the merge
-    independent of where each chunk happened to run.
+    independent of where each chunk happened to run.  A scenario
+    reaches a worker as its JSON document (:meth:`ScenarioSampler.doc_at`);
+    in the parent it is built from the sampler's link tuples
+    (:meth:`ScenarioSampler.scenario_at`), the same set of links.
     """
 
-    def __init__(self, instance: dict, workers: int,
-                 runner_config: RunnerConfig | None, tracer):
+    def __init__(self, instance: dict, sampler: ScenarioSampler,
+                 workers: int, runner_config: RunnerConfig | None, tracer):
         self.instance = instance
+        self.sampler = sampler
         self.workers = workers
         self.runner_config = runner_config or RunnerConfig()
         self.tracer = tracer
@@ -408,34 +414,36 @@ class _ChunkEvaluator:
                 *_instance_from_docs(self.instance))
         return self._resolver
 
-    def _fallback(self, docs: list) -> Iterator[float]:
+    def _scenarios(self, chunk: list) -> list[FailureScenario]:
+        return [self.sampler.scenario_at(positions) for positions in chunk]
+
+    def _fallback(self, chunk: list) -> list[float]:
         self.chunk_fallbacks += 1
         metrics().counter("availability.chunk_fallbacks").inc()
-        return _resolve_chunk(self._parent_resolver, docs)
+        return _resolve_chunk(self._parent_resolver, self._scenarios(chunk))
 
     def evaluate(self, chunks: list[list], start_index: int
-                 ) -> Iterator[float]:
-        """Delivered flow of every scenario, chunk after chunk, each as
-        soon as it is known: per scenario in-process, per chunk from a
-        worker pool."""
-        if not chunks:
-            return iter(())
+                 ) -> Iterator[list[float]]:
+        """Delivered flow of every scenario, one list per chunk, each
+        as soon as its chunk is solved.  A chunk lists its scenarios'
+        failed positions (:meth:`ScenarioSampler.in_doc_order`)."""
         if self.workers == 1:
             return self._evaluate_local(chunks, start_index)
         return self._evaluate_pool(chunks, start_index)
 
     def _evaluate_local(self, chunks, start_index):
-        for offset, docs in enumerate(chunks):
+        for offset, chunk in enumerate(chunks):
             try:
-                values = _resolve_chunk(self._parent_resolver, docs,
+                values = _resolve_chunk(self._parent_resolver,
+                                        self._scenarios(chunk),
                                         start_index + offset)
             except _ChunkFault:
                 # In-process there is no worker to lose: the fault
                 # degrades straight to the fallback path (counted, so
                 # chaos tests can assert it fired) with identical
                 # values, because the resolver is deterministic.
-                values = self._fallback(docs)
-            yield from values
+                values = self._fallback(chunk)
+            yield values
 
     def _evaluate_pool(self, chunks, start_index):
         jobs = [
@@ -444,10 +452,11 @@ class _ChunkEvaluator:
                 "instance": self.instance,
                 "params": {
                     "chunk_index": start_index + offset,
-                    "scenarios": docs,
+                    "scenarios": [self.sampler.doc_at(positions)
+                                  for positions in chunk],
                 },
             })
-            for offset, docs in enumerate(chunks)
+            for offset, chunk in enumerate(chunks)
         ]
         # No chaos argument: the engine installed any explicit plan as
         # the ambient one, and run_sweep ships the ambient plan into
@@ -461,26 +470,26 @@ class _ChunkEvaluator:
             handle_signals=False,
         )
         by_key = {o.job.key: o for o in outcome.outcomes}
-        for offset, (job, docs) in enumerate(zip(jobs, chunks)):
+        for offset, (job, chunk) in enumerate(zip(jobs, chunks)):
             settled = by_key.get(job.key)
             if settled is not None and settled.ok:
                 delivered = settled.result["delivered"]
-                if len(delivered) != len(docs):
+                if len(delivered) != len(chunk):
                     raise TopologyError(
                         f"chunk {start_index + offset} returned "
-                        f"{len(delivered)} values for {len(docs)} "
+                        f"{len(delivered)} values for {len(chunk)} "
                         f"scenarios"
                     )
-                yield from (float(d) for d in delivered)
+                yield [float(d) for d in delivered]
                 continue
             error = settled.error if settled is not None \
                 else "chunk did not settle (drained)"
             logger.warning(
                 "availability chunk %d failed permanently (%s); "
                 "re-evaluating its %d scenario(s) in the parent",
-                start_index + offset, error, len(docs),
+                start_index + offset, error, len(chunk),
             )
-            yield from self._fallback(docs)
+            yield self._fallback(chunk)
 
 
 def estimate_availability_parallel(
@@ -567,14 +576,14 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
     }
     # Keys are only ever needed to talk to a cache.
     instance_key = job_key(instance) if cache is not None else None
-    evaluator = _ChunkEvaluator(instance, workers, runner_config, tracer)
     z = NormalDist().inv_cdf(0.5 + config.ci_confidence / 2.0)
     adaptive = config.ci_width is not None
     max_samples = config.resolved_max_samples() if adaptive \
         else config.samples
 
     # Fresh results are written behind the solves, on the cache's one
-    # writer thread; every write has landed when the block is left.
+    # writer thread, handed over one chunk at a time; every write has
+    # landed when the block is left.
     with tracer.span(
         "availability", samples=config.samples, workers=workers,
         adaptive=adaptive,
@@ -583,20 +592,23 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         healthy_flow = _healthy_flow(topology, demands, paths, cache,
                                      instance_key, write)
         sampler = ScenarioSampler(topology)
+        evaluator = _ChunkEvaluator(instance, sampler, workers,
+                                    runner_config, tracer)
         keyer = sampler.delivered_keyer(instance_key) \
             if cache is not None else None
         rng = np.random.default_rng(config.seed)
 
         # Scenarios are tracked by the bytes of their failure-matrix row
         # (columns in scenario_doc order); per distinct row only its
-        # failed positions and, with a cache, its key are kept.  Docs
-        # are built for misses alone, a FailureScenario for the worst.
+        # failed positions and, with a cache, its key are kept.  Misses
+        # become FailureScenarios (docs, for a worker pool), and so does
+        # the worst.
         sample_rows: list[bytes] = []      # per sample, in draw order
         positions_by_row: dict[bytes, list[int]] = {}
         key_by_row: dict[bytes, str] = {}
         delivered_by_row: dict[bytes, float] = {}
         cache_hits = 0
-        fresh_rows: list[bytes] = []
+        fresh_solves = 0
         chunks_dispatched = 0
         rounds = 0
         width: float | None = None
@@ -642,16 +654,20 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                                  scenarios=len(misses),
                                  chunks=len(chunks)):
                     values = evaluator.evaluate(
-                        [[sampler.doc_at(positions_by_row[row])
-                          for row in chunk]
+                        [[positions_by_row[row] for row in chunk]
                          for chunk in chunks],
                         start_index=chunks_dispatched,
                     )
-                    for row, value in zip(misses, values, strict=True):
-                        delivered_by_row[row] = value
-                        fresh_rows.append(row)
+                    for chunk, delivered in zip(chunks, values,
+                                                strict=True):
+                        for row, value in zip(chunk, delivered,
+                                              strict=True):
+                            delivered_by_row[row] = value
+                        fresh_solves += len(chunk)
                         if cache is not None:
-                            write(key_by_row.pop(row), {"delivered": value})
+                            write.extend(
+                                (key_by_row.pop(row), {"delivered": value})
+                                for row, value in zip(chunk, delivered))
                 chunks_dispatched += len(chunks)
 
             degradations = [
@@ -668,7 +684,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             total_samples=len(sample_rows),
             distinct_scenarios=len(positions_by_row),
             cache_hits=cache_hits,
-            fresh_solves=len(fresh_rows),
+            fresh_solves=fresh_solves,
             chunk_fallbacks=evaluator.chunk_fallbacks,
             rounds=rounds,
         )
@@ -676,7 +692,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
     metrics().counter("availability.samples").inc(len(sample_rows))
     metrics().counter("availability.distinct").inc(len(positions_by_row))
     metrics().counter("availability.cache_hits").inc(cache_hits)
-    metrics().counter("availability.fresh_solves").inc(len(fresh_rows))
+    metrics().counter("availability.fresh_solves").inc(fresh_solves)
 
     array = np.asarray(degradations)
     availability = (
@@ -698,7 +714,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         degradations=[float(d) for d in degradations],
         distinct_scenarios=len(positions_by_row),
         cache_hits=cache_hits,
-        fresh_solves=len(fresh_rows),
+        fresh_solves=fresh_solves,
         chunk_fallbacks=evaluator.chunk_fallbacks,
         rounds=rounds,
         ci_width=width,

@@ -152,14 +152,16 @@ class ScenarioResolver:
     * a path disallowed by the fail-over policy (Eq. 5) gets its flow
       variable's upper bound pinned to zero.
 
-    The patches come from arrays built once here: a flat table of every
-    physical link and its LAG, a path x LAG incidence, and each demand's
-    run of path columns.  A scenario is then its failed links' rows in
-    that table, the LAGs it takes fully down (Eq. 3), the paths those
-    cross (Eq. 4), and an exclusive running count of down paths within
-    each demand (Eq. 5).  Residual capacities keep the left-to-right sum
-    over surviving links, so the numbers are bit-identical to
-    :meth:`FailureScenario.residual_capacities`.
+    The patches come from tables built once here: the LAG of every
+    physical link and its bit in that LAG's mask, each LAG's link
+    capacities and the path columns crossing it, and each demand's run
+    of path columns.  A scenario is then a mask of lost links per LAG
+    it touches, the LAGs it takes fully down (Eq. 3), the paths those
+    cross (Eq. 4), and a running count of down paths within each demand
+    that crosses one (Eq. 5).  A residual capacity is the left-to-right
+    sum over surviving links, as in
+    :meth:`FailureScenario.residual_capacities`, so the numbers are
+    bit-identical; each LAG keeps the sums of the masks it has seen.
 
     The optimum is identical to ``simulate_failed_network`` with the
     default :class:`TotalFlowTE(primary_only=False)` solver: an allowed
@@ -178,46 +180,44 @@ class ScenarioResolver:
         self.demands = dict(demands)
         self.paths = paths
 
-        # Flat link table: link k is link i of LAG _link_lag[k], found by
-        # _link_index[(lag key, i)].
+        # Link i of the LAG at position pos is _link_bit[(lag key, i)]
+        # == (pos, 1 << i); a LAG's lost links form a mask of such bits.
         lags = topology.lags
         lag_pos = {lag.key: pos for pos, lag in enumerate(lags)}
-        self._lag_keys = [lag.key for lag in lags]
-        self._link_caps = [[link.capacity for link in lag.links] for lag in lags]
-        self._link_index: dict[tuple[LagKey, int], int] = {}
-        link_lag: list[int] = []
-        for pos, lag in enumerate(lags):
-            for i in range(lag.num_links):
-                self._link_index[(lag.key, i)] = len(link_lag)
-                link_lag.append(pos)
-        self._link_lag = np.array(link_lag, dtype=np.intp)
-        self._lag_size = np.array([lag.num_links for lag in lags], dtype=np.intp)
+        self._link_bit: dict[tuple[LagKey, int], tuple[int, int]] = {
+            (lag.key, i): (pos, 1 << i)
+            for pos, lag in enumerate(lags) for i in range(lag.num_links)
+        }
+        self._link_caps = [[link.capacity for link in lag.links]
+                           for lag in lags]
+        self._all_lost = [(1 << lag.num_links) - 1 for lag in lags]
+        # Per LAG: lost-link mask -> residual capacity, as scenarios
+        # need them.
+        self._residuals: list[dict[int, float]] = [{} for _ in lags]
 
         model = Model("scenario-resolver")
         per_lag: dict[int, list[int]] = defaultdict(list)
-        crossings: list[tuple[int, int]] = []
-        # Per path column: the first column of its demand's run, and how
-        # many of the paths before it in that run must be down for it to
-        # carry traffic (0 for primaries, r for the r-th backup).
-        seg_start: list[int] = []
-        needed: list[int] = []
+        # Per path column: its demand's run of columns, and how many of
+        # the paths before it in that run must be down for it to carry
+        # traffic (0 for primaries, r for the r-th backup).
+        self._run: list[range] = []
+        self._needed: list[int] = []
         dem_cols: list[int] = []
         dem_indptr: list[int] = [0]
         dem_rhs: list[float] = []
         for pair, volume in self.demands.items():
             dp = paths[pair]
-            first = model.num_vars
+            run = range(model.num_vars, model.num_vars + len(dp.paths))
             for j, path in enumerate(dp.paths):
                 var = model.add_var(
                     ub=max(volume, 0.0),
                     name=f"f[{pair}][{'-'.join(path)}]",
                 )
                 dem_cols.append(var.index)
-                seg_start.append(first)
-                needed.append(max(j - dp.num_primary + 1, 0))
+                self._run.append(run)
+                self._needed.append(max(j - dp.num_primary + 1, 0))
                 for lag in topology.lags_on_path(path):
                     per_lag[lag_pos[lag.key]].append(var.index)
-                    crossings.append((var.index, lag_pos[lag.key]))
             if len(dem_cols) > dem_indptr[-1]:
                 dem_indptr.append(len(dem_cols))
                 dem_rhs.append(volume)
@@ -225,10 +225,12 @@ class ScenarioResolver:
             model.add_constrs_batch(
                 dem_indptr, dem_cols, rhs=dem_rhs, name="dem"
             )
-        # Capacity row of each LAG a path crosses (-1: none does).  Its
-        # rhs is the same left-to-right sum residual capacities use, so
-        # a LAG that lost no link needs no patch.
-        self._lag_row = np.full(len(lags), -1, dtype=np.intp)
+        # Capacity row of each LAG a path crosses (-1: none does), and
+        # the path columns crossing it.  The row's rhs is the same
+        # left-to-right sum residual capacities use, so a LAG that lost
+        # no link needs no patch.
+        self._lag_row = [-1] * len(lags)
+        self._lag_cols = [per_lag.get(pos, ()) for pos in range(len(lags))]
         if per_lag:
             lag_cols: list[int] = []
             lag_indptr: list[int] = [0]
@@ -240,13 +242,10 @@ class ScenarioResolver:
                 rhs=[sum(self._link_caps[pos]) for pos in per_lag],
                 name="cap",
             )
-            self._lag_row[list(per_lag)] = rows
-        self._incidence = np.zeros((model.num_vars, len(lags)), dtype=bool)
-        if crossings:
-            self._incidence[tuple(np.array(crossings).T)] = True
-        self._seg_start = np.array(seg_start, dtype=np.intp)
-        self._needed = np.array(needed, dtype=np.intp)
-        self._backups = dict.fromkeys(np.flatnonzero(self._needed).tolist(), 0.0)
+            for pos, row in zip(per_lag, rows):
+                self._lag_row[pos] = row
+        # With no path down, every backup is blocked (Eq. 5).
+        self._backups = {col: 0.0 for col, r in enumerate(self._needed) if r}
         model.set_objective(
             LinExpr.from_arrays(
                 np.arange(model.num_vars, dtype=np.intp),
@@ -262,32 +261,44 @@ class ScenarioResolver:
         failed = scenario.failed_links
         if not failed:
             return {}, self._backups
+        lost: dict[int, int] = {}
         try:
-            links = np.fromiter(
-                (self._link_index[link] for link in failed),
-                dtype=np.intp, count=len(failed),
-            )
+            for link in failed:
+                pos, bit = self._link_bit[link]
+                lost[pos] = lost.get(pos, 0) | bit
         except KeyError:
             scenario.validate_for(self.topology)
             raise TopologyError(
                 f"{scenario!r} fails a link not in the topology"
             ) from None
-        lost = np.bincount(self._link_lag[links], minlength=self._lag_size.size)
         rhs_overrides = {}
-        for pos in np.flatnonzero((lost > 0) & (self._lag_row >= 0)).tolist():
-            key = self._lag_keys[pos]
-            rhs_overrides[int(self._lag_row[pos])] = sum(
-                cap for i, cap in enumerate(self._link_caps[pos])
-                if (key, i) not in failed
-            )
-        down = lost == self._lag_size
-        if not down.any():
+        down_cols: set[int] = set()
+        for pos in sorted(lost):
+            mask = lost[pos]
+            row = self._lag_row[pos]
+            if row >= 0:
+                residuals = self._residuals[pos]
+                residual = residuals.get(mask)
+                if residual is None:
+                    residual = residuals[mask] = sum([
+                        cap for i, cap in enumerate(self._link_caps[pos])
+                        if not mask >> i & 1
+                    ])
+                rhs_overrides[row] = residual
+            if mask == self._all_lost[pos]:
+                down_cols.update(self._lag_cols[pos])
+        if not down_cols:
             return rhs_overrides, self._backups
-        path_down = self._incidence[:, down].any(axis=1).astype(np.intp)
-        down_before = np.cumsum(path_down) - path_down
-        down_before -= down_before[self._seg_start]
-        blocked = np.flatnonzero(down_before < self._needed)
-        return rhs_overrides, dict.fromkeys(blocked.tolist(), 0.0)
+        # Backups start blocked; in each demand run a down path crosses,
+        # the r-th backup opens once r paths before it are down.
+        blocked = dict(self._backups)
+        for run in {self._run[col] for col in down_cols}:
+            down_before = 0
+            for col in run:
+                if 0 < self._needed[col] <= down_before:
+                    del blocked[col]
+                down_before += col in down_cols
+        return rhs_overrides, blocked
 
     def delivered(self, scenario: FailureScenario) -> float:
         """Total traffic routed under ``scenario``.

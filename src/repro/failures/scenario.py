@@ -45,6 +45,20 @@ class FailureScenario:
         self._failed: frozenset[FailedLink] = frozenset(normalized)
 
     @classmethod
+    def from_canonical(cls, failed_links: frozenset[FailedLink]
+                       ) -> FailureScenario:
+        """A scenario over links already in canonical form.
+
+        Every link must be a ``(lag_key(u, v), int)`` pair, as
+        ``(lag.key, i)`` of a topology's own LAGs are; the set is used
+        as it is, without the per-link normalization of the
+        constructor.
+        """
+        scenario = cls.__new__(cls)
+        scenario._failed = failed_links
+        return scenario
+
+    @classmethod
     def from_lags(cls, topology: Topology, lag_keys: Iterable[LagKey]
                   ) -> FailureScenario:
         """A scenario that fails every link of the named LAGs."""

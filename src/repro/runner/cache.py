@@ -264,10 +264,11 @@ class ResultCache:
     def writer(self) -> WriteBehind:
         """A write-behind for a batch of :meth:`put` calls.
 
-        ``with cache.writer() as write:`` yields ``write(key, result)``,
-        which queues the put for one writer thread and returns at once,
-        so the caller's next computation overlaps the file work.  See
-        :class:`WriteBehind`.
+        ``with cache.writer() as write:`` yields ``write``:
+        ``write(key, result)`` hands one put to one writer thread and
+        ``write.extend(pairs)`` hands it a batch of ``(key, result)``
+        pairs at once; both return at once, so the caller's next
+        computation overlaps the file work.  See :class:`WriteBehind`.
         """
         return WriteBehind(self)
 
@@ -435,15 +436,21 @@ class ResultCache:
 class WriteBehind:
     """Puts into one :class:`ResultCache`, made on one writer thread.
 
-    Entered, it yields ``write(key, result)``: the put is queued and the
-    call returns.  The thread starts at the first write, so a block that
-    writes nothing starts none.  Puts run in the order they were queued,
-    with every rule of :meth:`ResultCache.put`.
+    Entered, it yields itself.  ``write(key, result)`` hands the thread
+    one put and ``write.extend(pairs)`` a batch of ``(key, result)``
+    pairs; either returns at once.  A caller that has several results
+    ready hands them over as one batch: each hand-off wakes the thread,
+    and a woken thread competes with the caller for the interpreter, so
+    one wake-up per batch costs the caller less than one per entry.
+    The thread starts at the first hand-off, so a block that hands over
+    nothing starts none.  Puts run one :meth:`ResultCache.put` per
+    entry, in the order they were handed over, with every rule of that
+    method.
 
     Leaving the block waits for every queued put and joins the thread,
     so all entries are on disk and no thread outlives the block.  The
     first failed put is re-raised there, also when the block itself
-    raised; once a put has failed, the rest are dropped and ``write``
+    raised; once a put has failed, the rest are dropped and a hand-off
     raises that failure, so the caller stops early.
     """
 
@@ -454,25 +461,35 @@ class WriteBehind:
         self._failure: BaseException | None = None
 
     def __enter__(self):
-        return self.write
+        return self
 
-    def write(self, key: str, result) -> None:
+    def __call__(self, key: str, result) -> None:
         """Queue ``cache.put(key, result)``."""
+        self.extend([(key, result)])
+
+    def extend(self, pairs) -> None:
+        """Queue ``cache.put(key, result)`` for every pair, as one
+        hand-off (none for no pairs)."""
         if self._failure is not None:
             raise self._failure
+        batch = list(pairs)
+        if not batch:
+            return
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._drain, name="cache-writer", daemon=True)
             self._thread.start()
-        self._queue.put((key, result))
+        self._queue.put(batch)
 
     def _drain(self) -> None:
-        while (item := self._queue.get()) is not None:
-            if self._failure is None:
-                try:
-                    self._cache.put(*item)
-                except BaseException as exc:
-                    self._failure = exc
+        while (batch := self._queue.get()) is not None:
+            if self._failure is not None:
+                continue
+            try:
+                for key, result in batch:
+                    self._cache.put(key, result)
+            except BaseException as exc:
+                self._failure = exc
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         if self._thread is not None:

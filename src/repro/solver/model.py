@@ -6,8 +6,8 @@ and hands them to HiGHS as they are: one private class,
 :class:`_HighsSession`, loads the model's own ``row_lb <= A x <= row_ub``
 rows (a CSC copy of the compiled matrix), its column bounds and
 integrality into one instance of the HiGHS binding scipy ships, once per
-compiled model, and every later solve patches only the bounds it
-overrides.  LPs and MILPs take the same path; an LP also returns one dual
+compiled model, and every later solve changes only the bounds that
+differ from the last solve's.  LPs and MILPs take the same path; an LP also returns one dual
 per row.  The options are the ones scipy's ``linprog`` / ``milp`` front
 ends would pass, so results match those front ends without their
 per-call input validation and row re-stacking.
@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from itertools import repeat
+from math import copysign
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +180,18 @@ def _check_patch(what: str, index: int, lo, hi) -> None:
         raise ModelingError(f"{what} {side} bound {index} is NaN")
 
 
+def _same_bounds(held, bounds: tuple) -> bool:
+    """Whether ``held`` is ``bounds``, float for float and bit for bit:
+    ``0.0`` and ``-0.0`` differ (no bound here is NaN)."""
+    if held != bounds:
+        return False
+    if 0.0 not in bounds:
+        return True
+    (held_lo, held_hi), (lo, hi) = held, bounds
+    return (copysign(1.0, held_lo) == copysign(1.0, lo)
+            and copysign(1.0, held_hi) == copysign(1.0, hi))
+
+
 def _set_option(highs, name: str, value) -> None:
     if highs.setOptionValue(name, value) == _ERROR:
         raise ModelingError(f"HiGHS rejected option {name}={value!r}")
@@ -192,8 +205,14 @@ class _HighsSession:
     model's own ``row_lb <= A x <= row_ub`` rows (a CSC copy of the
     compiled matrix), its column bounds and, for a MILP, its integrality
     reach HiGHS in one ``passModel``, after the one NaN check (NaN slips
-    through every ``lb > ub`` check).  :meth:`run` then patches only the
-    bounds a call overrides and restores them afterwards.
+    through every ``lb > ub`` check).  :meth:`run` then changes only the
+    bounds that differ from what the instance holds: a call's overrides
+    stay loaded until the next call, which restores those it does not
+    override and re-applies none it overrides alike.  Every run
+    therefore sees exactly the compiled bounds with its own overrides
+    patched over them; back-to-back scenario re-solves, which mostly
+    override the same bounds alike, skip most of the calls.  The
+    per-call options are likewise set only when they change.
 
     The ``clearSolver`` contract: every ``run()`` is preceded by
     ``clearSolver()``, which drops the last basis and solution, so each
@@ -202,8 +221,9 @@ class _HighsSession:
     warm-start from the last basis: faster, but not bit-identical.)
     """
 
-    __slots__ = ("_highs", "_integer", "_loaded", "_defaults",
-                 "_row_lb", "_row_ub", "_var_lb", "_var_ub")
+    __slots__ = ("_highs", "_integer", "_loaded", "_defaults", "_options",
+                 "_row_lb", "_row_ub", "_var_lb", "_var_ub",
+                 "_held_rows", "_held_cols")
 
     def __init__(self, a_csc, cost, compiled: _Compiled, integer: bool):
         for what, arr in (
@@ -222,6 +242,8 @@ class _HighsSession:
         for name, value in _MILP_OPTIONS if integer else _LP_OPTIONS:
             _set_option(highs, name, value)
         self._defaults = [highs.getOptionValue(name)[1] for name in _PER_CALL]
+        # What the instance holds for each per-call option.
+        self._options = list(self._defaults)
         m, n = a_csc.shape
         if integer:
             # The array form of passModel builds the same HighsLp as the
@@ -259,62 +281,94 @@ class _HighsSession:
         self._integer = integer
         self._row_lb, self._row_ub = compiled.row_lb, compiled.row_ub
         self._var_lb, self._var_ub = compiled.var_lb, compiled.var_ub
+        # Rows and columns whose bounds on the instance are not the
+        # compiled ones: {index: (lb, ub)}, or None after HiGHS refused
+        # a change (what it holds then is unknown).
+        self._held_rows: dict[int, tuple | None] = {}
+        self._held_cols: dict[int, tuple | None] = {}
 
     def run(self, time_limit, mip_rel_gap, rows=None, cols=None
             ) -> _HighsOutcome:
         """Minimize with ``rows`` and ``cols`` (``{index: (lb, ub)}``)
-        patched over the loaded bounds, which are restored afterwards.
+        patched over the compiled bounds.
 
         A bound HiGHS refuses (an infinite lower bound, say) reads as
         kModelError, as it does when a whole model is refused.
         """
         highs = self._highs
-        for name, value, default in zip(
-                _PER_CALL, (time_limit, mip_rel_gap), self._defaults):
-            _set_option(highs, name, default if value is None else float(value))
-        rows = rows or {}
-        index = bounds = None
-        if cols:
-            index = np.fromiter(cols, dtype=np.int32, count=len(cols))
-            bounds = np.array(list(cols.values()), dtype=np.float64)
-        try:
-            if self._loaded and self._patch(rows, index, bounds):
-                highs.clearSolver()
-                ran = highs.run() != _ERROR
-                status = highs.getModelStatus()
-            else:
-                status, ran = _MODEL_STATUS.kModelError, False
-            return self._read(status, ran)
-        finally:
-            for i in rows:
-                highs.changeRowBounds(i, self._row_lb[i], self._row_ub[i])
-            if index is not None:
-                highs.changeColsBounds(index.size, index,
-                                       self._var_lb[index],
-                                       self._var_ub[index])
+        options = self._options
+        for k, value in enumerate((time_limit, mip_rel_gap)):
+            value = self._defaults[k] if value is None else float(value)
+            if value != options[k]:
+                _set_option(highs, _PER_CALL[k], value)
+                options[k] = value
+        if self._loaded and self._patch(rows or {}, cols or {}):
+            highs.clearSolver()
+            ran = highs.run() != _ERROR
+            status = highs.getModelStatus()
+        else:
+            status, ran = _MODEL_STATUS.kModelError, False
+        return self._read(status, ran)
 
-    def _patch(self, rows, index, bounds) -> bool:
-        """Apply the overrides; ``False`` if HiGHS refused one."""
+    def _patch(self, rows, cols) -> bool:
+        """Make the instance hold the compiled bounds with ``rows`` and
+        ``cols`` patched over them; ``False`` if HiGHS refused one."""
         highs = self._highs
-        for i, (lo, hi) in rows.items():
-            if highs.changeRowBounds(i, lo, hi) == _ERROR:
-                return False
-        return index is None or highs.changeColsBounds(
-            index.size, index, bounds[:, 0], bounds[:, 1]) != _ERROR
+        held = self._held_rows
+        for i in [i for i in held if i not in rows]:
+            highs.changeRowBounds(i, self._row_lb[i], self._row_ub[i])
+            del held[i]
+        for i, bounds in rows.items():
+            if not _same_bounds(held.get(i), bounds):
+                held[i] = None
+                if highs.changeRowBounds(i, *bounds) == _ERROR:
+                    return False
+                held[i] = bounds
+        held = self._held_cols
+        restore = [j for j in held if j not in cols]
+        change = [j for j, bounds in cols.items()
+                  if not _same_bounds(held.get(j), bounds)]
+        if not (restore or change):
+            return True
+        index = np.array(restore + change, dtype=np.int32)
+        lb = np.concatenate([self._var_lb[restore],
+                             [cols[j][0] for j in change]])
+        ub = np.concatenate([self._var_ub[restore],
+                             [cols[j][1] for j in change]])
+        for j in restore:
+            del held[j]
+        for j in change:
+            held[j] = None
+        if highs.changeColsBounds(index.size, index, lb, ub) == _ERROR:
+            return False
+        for j in change:
+            held[j] = cols[j]
+        return True
 
     def _read(self, status, ran: bool) -> _HighsOutcome:
+        """The outcome of the last run.  An LP reads its objective with
+        ``getObjectiveValue()`` (the ``objective_function_value`` of
+        ``getInfo()``, without copying every other info field); a MILP
+        reads ``getInfo()`` for its search statistics."""
         highs = self._highs
         outcome = _STATUS.get(status, SolveStatus.ERROR)
         message = f"HiGHS: {highs.modelStatusToString(status)}"
-        info = highs.getInfo() if ran else None
-        search = None
-        if self._integer and info is not None:
-            search = (int(info.mip_node_count),
-                      int(info.simplex_iteration_count),
-                      float(info.mip_dual_bound))
+        if not self._integer:
+            if not ran or status != _MODEL_STATUS.kOptimal:
+                return _HighsOutcome(outcome, message, None, None, None, None)
+            solution = highs.getSolution()
+            return _HighsOutcome(
+                outcome, message, np.array(solution.col_value),
+                highs.getObjectiveValue(),
+                np.array(solution.row_dual, dtype=np.float64), None,
+            )
         if not ran:
-            solved = False
-        elif self._integer and status in _MIP_STOPPED:
+            return _HighsOutcome(outcome, message, None, None, None, None)
+        info = highs.getInfo()
+        search = (int(info.mip_node_count),
+                  int(info.simplex_iteration_count),
+                  float(info.mip_dual_bound))
+        if status in _MIP_STOPPED:
             # A stopped branch-and-bound holds an incumbent iff its
             # objective is finite.
             solved = info.objective_function_value != _highs.kHighsInf
@@ -324,12 +378,9 @@ class _HighsSession:
             return _HighsOutcome(outcome, message, None, None, None, None,
                                  search)
         solution = highs.getSolution()
-        is_lp = not self._integer
         return _HighsOutcome(
             outcome, message, np.array(solution.col_value),
-            info.objective_function_value,
-            np.array(solution.row_dual, dtype=np.float64) if is_lp else None,
-            None if is_lp else float(info.mip_gap),
+            info.objective_function_value, None, float(info.mip_gap),
             search,
         )
 
@@ -1008,9 +1059,10 @@ class Model:
         """Re-solve with patched row/variable bounds, reusing the structure.
 
         The compiled matrix is neither rebuilt nor reloaded: only the
-        overridden bounds are changed in the model's HiGHS instance, and
-        restored after the solve, so sweeping a threshold, updating
-        demands, or re-pinning variables costs the patch plus the solve.
+        overridden bounds are changed in the model's HiGHS instance (and
+        restored by the next solve that does not override them alike),
+        so sweeping a threshold, updating demands, or re-pinning
+        variables costs the patch plus the solve.
         The model itself is left unchanged: a later :meth:`solve` sees the
         original bounds.  Overrides that cross (``lb > ub``) or are NaN
         raise :class:`ModelingError`; one HiGHS refuses (an infinite

@@ -1,9 +1,9 @@
 """The Monte Carlo engine writes its cache entries behind the solves.
 
-Fresh results go to :meth:`ResultCache.writer`'s one thread while the
-next scenario solves.  When a campaign returns, every entry is on disk,
-staged and renamed like any :meth:`ResultCache.put`, and the thread is
-gone; a failed write fails the campaign.
+Fresh results go to :meth:`ResultCache.writer`'s one thread, one chunk
+at a time, while the next chunk solves.  When a campaign returns, every
+entry is on disk, staged and renamed like any :meth:`ResultCache.put`,
+and the thread is gone; a failed write fails the campaign.
 """
 
 import os

@@ -382,6 +382,48 @@ def test_resolve_sequence_equals_fresh_solves(seed, integer):
     assert _bits(model.solve()) == _bits(_from_arrays(arrays, integer).solve())
 
 
+def _held(model, integer):
+    """The bounds the model's HiGHS instance holds, as exact bits."""
+    lp = model._sessions[integer]._highs.getLp()
+    return [[float(v).hex() for v in side] for side in (
+        lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_)]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_each_run_holds_its_own_overrides_and_no_earlier_ones(integer):
+    # A call's overrides stay loaded until the next call, which changes
+    # only the bounds that differ.  After every call the instance must
+    # hold exactly the compiled bounds with that call's overrides on
+    # top, a signed zero included, and every result must equal a fresh
+    # solve.
+    senses, arrays = _session_arrays(2)
+    le = int(np.flatnonzero(senses == "<=")[0])
+    ge = int(np.flatnonzero(senses == ">=")[0])
+    eq = int(np.flatnonzero(senses == "==")[0])
+    ge_lb = float(arrays[2][ge])
+    sequence = [
+        ({le: 0.0}, {1: 0.0, 4: (1.0, None)}),
+        ({le: 0.0}, {1: 0.0, 4: (1.0, None)}),  # all held alike
+        ({le: -0.0, ge: ge_lb - 1.0}, {1: -0.0}),  # -0.0 over 0.0
+        ({le: -0.0, ge: ge_lb - 1.0}, {1: 0.0, 6: (None, 2.0)}),
+        ({ge: float("inf")}, {6: (None, 2.0)}),  # refused
+        ({ge: ge_lb - 0.5, eq: (None, None)}, {6: (None, 2.0)}),
+        ({}, {}),
+    ]
+    model = _from_arrays(arrays, integer)
+    for rhs, bounds in sequence:
+        got = model.resolve_with(rhs, bounds)
+        if got.message == "HiGHS: Model error":
+            continue
+        patched = _patched(arrays, senses, rhs, bounds)
+        assert _held(model, integer) == [
+            [float(v).hex() for v in side] for side in patched[2:]]
+        fresh = _from_arrays(patched, integer)
+        assert _bits(got) == _bits(fresh.solve())
+    assert got.status is SolveStatus.OPTIMAL
+    assert _bits(model.solve()) == _bits(_from_arrays(arrays, integer).solve())
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_relaxation_between_milp_solves(seed):
     _, arrays = _session_arrays(seed)

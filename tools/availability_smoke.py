@@ -1,10 +1,14 @@
 """CI chaos-smoke for the Monte Carlo availability engine.
 
-Runs the same availability campaign on the paper's B4 topology three
+Runs the same availability campaign on the paper's B4 topology several
 times:
 
 1. clean, through the parallel engine (worker pool, vectorized
-   sampling, up-front dedup);
+   sampling, up-front dedup), then clean in-process (``num_workers=1``,
+   the path that builds scenarios straight from the sample) against a
+   cold persistent cache, asserting a bit-identical estimate, one
+   cache entry per fresh solve plus the healthy flow, and zero fresh
+   solves on a warm in-process re-run;
 2. under a hostile fault plan -- worker chunks fail wholesale
    (``availability.chunk``) and first-attempt workers crash
    (``worker.crash``) -- asserting the estimate stays *bit-identical*:
@@ -120,6 +124,26 @@ def main() -> int:
                                            config)
     print(f"clean: availability {clean.availability:.6f}, "
           f"{clean.distinct_scenarios} distinct scenarios")
+
+    in_process = dataclasses.replace(config, num_workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        local = estimate_availability_parallel(
+            topology, demands, paths, in_process, cache=tmp)
+        if not _same_estimate(clean, local):
+            return _fail("in-process estimate diverged from the pooled "
+                         "clean run")
+        entries = len(list(Path(tmp).glob("*.json")))
+        if entries != local.fresh_solves + 1:
+            return _fail(f"in-process cold run left {entries} cache "
+                         f"entries for {local.fresh_solves} fresh solves "
+                         "plus the healthy flow")
+        warm = estimate_availability_parallel(
+            topology, demands, paths, in_process, cache=tmp)
+        if warm.fresh_solves != 0:
+            return _fail(f"warm in-process run did {warm.fresh_solves} "
+                         "fresh solves")
+    print(f"in-process: estimate bit-identical, {entries} cache entries, "
+          "warm re-run solved nothing")
 
     chaotic = estimate_availability_parallel(topology, demands, paths,
                                              config, chaos=CHAOS)
