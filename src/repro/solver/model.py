@@ -335,12 +335,12 @@ class _HighsSession:
                              [cols[j][0] for j in change]])
         ub = np.concatenate([self._var_ub[restore],
                              [cols[j][1] for j in change]])
-        for j in restore:
-            del held[j]
-        for j in change:
+        for j in restore + change:
             held[j] = None
         if highs.changeColsBounds(index.size, index, lb, ub) == _ERROR:
             return False
+        for j in restore:
+            del held[j]
         for j in change:
             held[j] = cols[j]
         return True

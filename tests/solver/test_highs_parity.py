@@ -406,20 +406,24 @@ def test_each_run_holds_its_own_overrides_and_no_earlier_ones(integer):
         ({le: 0.0}, {1: 0.0, 4: (1.0, None)}),  # all held alike
         ({le: -0.0, ge: ge_lb - 1.0}, {1: -0.0}),  # -0.0 over 0.0
         ({le: -0.0, ge: ge_lb - 1.0}, {1: 0.0, 6: (None, 2.0)}),
+        ({}, {2: (float("inf"), float("inf"))}),  # refused, with restores
         ({ge: float("inf")}, {6: (None, 2.0)}),  # refused
         ({ge: ge_lb - 0.5, eq: (None, None)}, {6: (None, 2.0)}),
         ({}, {}),
     ]
     model = _from_arrays(arrays, integer)
+    refused = 0
     for rhs, bounds in sequence:
         got = model.resolve_with(rhs, bounds)
         if got.message == "HiGHS: Model error":
+            refused += 1
             continue
         patched = _patched(arrays, senses, rhs, bounds)
         assert _held(model, integer) == [
             [float(v).hex() for v in side] for side in patched[2:]]
         fresh = _from_arrays(patched, integer)
         assert _bits(got) == _bits(fresh.solve())
+    assert refused == 2
     assert got.status is SolveStatus.OPTIMAL
     assert _bits(model.solve()) == _bits(_from_arrays(arrays, integer).solve())
 
