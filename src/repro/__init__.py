@@ -35,7 +35,6 @@ from repro.core.augment import (
     augment_new_lags,
 )
 from repro.core.config import (
-    ObsConfig,
     RahaConfig,
     ResilienceConfig,
     RunnerConfig,
@@ -86,7 +85,6 @@ __all__ = [
     "Lag",
     "Link",
     "ModelingError",
-    "ObsConfig",
     "PartialResult",
     "PathError",
     "PathSet",

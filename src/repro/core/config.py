@@ -594,33 +594,6 @@ class ResilienceConfig:
 
 
 @dataclass
-class ObsConfig:
-    """Observability knobs: structured tracing (:mod:`repro.obs`).
-
-    Tracing defaults to *off*: the ambient tracer stays the no-op
-    :data:`~repro.obs.trace.NULL_TRACER` and instrumented hot paths pay
-    one function call per phase.  Setting ``trace_path`` (the CLI's
-    ``--trace FILE``) enables it implicitly.
-
-    Attributes:
-        trace_path: Write the completed trace (spans + a final metrics
-            snapshot) to this JSONL file; ``None`` disables the sink.
-        enabled: Collect spans even without a file sink (programmatic
-            callers reading ``Tracer.export()`` directly).  Forced on
-            when ``trace_path`` is set.
-        trace_name: The ``name`` stamped into the trace-file header.
-    """
-
-    trace_path: str | None = None
-    enabled: bool = False
-    trace_name: str = "trace"
-
-    def __post_init__(self):
-        if self.trace_path is not None:
-            self.enabled = True
-
-
-@dataclass
 class RahaConfig:
     """All analysis knobs in one place.
 

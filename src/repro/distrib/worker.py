@@ -45,7 +45,7 @@ class WorkerAgent:
         supervision: Lease knobs (lease, heartbeat cadence, renewal
             cap) for this agent's claims.
         runner_config: Executor knobs for the jobs themselves; defaults
-            match the scheduler's (2 pooled workers when isolating).
+            match the scheduler's.
         worker_id: Fleet identity; defaults to ``<hostname>-<pid>``.
         cache_dir: Local result-cache directory; ``None`` runs
             cacheless (the coordinator's cache still dedups re-runs,
@@ -71,8 +71,7 @@ class WorkerAgent:
         self.runner = ClaimRunner(
             self.client,
             supervision=supervision or SupervisionConfig(),
-            runner_config=runner_config or RunnerConfig(
-                num_workers=2 if isolate_jobs else 1),
+            runner_config=runner_config or RunnerConfig(),
             cache=ResultCache(cache_dir) if cache_dir else None,
             isolate_jobs=isolate_jobs,
             poll_interval_seconds=self.config.poll_interval_seconds,

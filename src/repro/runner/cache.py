@@ -445,7 +445,11 @@ class WriteBehind:
     The thread starts at the first hand-off, so a block that hands over
     nothing starts none.  Puts run one :meth:`ResultCache.put` per
     entry, in the order they were handed over, with every rule of that
-    method.
+    method.  The thread stays because it overlaps those puts with the
+    caller's next solves: synchronous puts after each chunk left the
+    perfbench ``mc-cold`` workload flat but raised ``mc-warm``'s
+    ``setup_s`` (three cold 300-sample campaigns) from 1.70 to 2.21 s
+    over 8 alternating pairs.
 
     Leaving the block waits for every queued put and joins the thread,
     so all entries are on disk and no thread outlives the block.  The

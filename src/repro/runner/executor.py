@@ -4,9 +4,10 @@ The executor turns a :class:`~repro.runner.jobs.SweepSpec` (or an
 explicit job list) into settled :class:`JobOutcome` records:
 
 * **Parallelism** -- jobs run on a :class:`ProcessPoolExecutor`
-  (``num_workers > 1``) or in-process (``num_workers == 1``, the
-  deterministic-debugging mode).  MILP solves are CPU-bound and the
-  GIL-free process pool is what lets a campaign saturate a machine.
+  (``num_workers > 1``, or a :class:`WarmWorker`) or in-process
+  (``num_workers == 1``, the deterministic-debugging mode).  MILP
+  solves are CPU-bound and the GIL-free process pool is what lets a
+  campaign saturate a machine.
 * **Timeouts** -- each job gets a wall-clock budget derived from its
   solver ``time_limit`` (:meth:`RunnerConfig.wall_timeout_for`),
   enforced *inside* the worker with a POSIX interval timer so a wedged
@@ -18,9 +19,11 @@ explicit job list) into settled :class:`JobOutcome` records:
   completes.  A worker crash breaks the whole pool, so recovery
   requeues the casualties free of charge and re-runs them one-per-pool
   to pin the crash on the job that caused it (see :func:`_run_pool`).
-  A caller that runs one job after another (a service slot) can hand
-  in a :class:`WarmWorker`, whose one process then serves every shared
-  round instead of a pool forked per call.
+  One round function runs every pooled attempt -- shared, warm-worker
+  and isolation -- so a cancel, a drain and a lost lease reach each
+  one alike.  A caller that runs one job after another (a service
+  slot) can hand in a :class:`WarmWorker`, whose one process then
+  serves every shared round instead of a pool forked per call.
 * **Caching / resumability** -- before running, each job key is checked
   against the result cache and (under ``resume=True``) the journal;
   hits settle instantly as ``cached`` / ``resumed``.
@@ -656,7 +659,7 @@ def run_sweep(
         spec_or_jobs: A :class:`SweepSpec` or an iterable of
             :class:`Job`; duplicate job keys are collapsed.
         num_workers: Worker processes (overrides ``config``); ``1``
-            executes in-process.
+            executes in-process unless a ``warm_worker`` is given.
         cache: Result cache (or a directory path for one); successful
             jobs are written through, and hits settle as ``cached``.
         journal: Checkpoint journal (or a path for one); every settled
@@ -714,12 +717,13 @@ def run_sweep(
             continuous across crashes, restarts, and lease reaps: a
             fault scoped to ``attempts: [1]`` fires once per *job*,
             not once per claim of it.
-        warm_worker: A :class:`WarmWorker` that runs the pooled path's
-            shared rounds in its one reusable process, instead of a
-            pool built and joined for this call.  It is retired after
-            a broken pool, any attempt that did not return ok, or a
-            cancel that abandons an in-flight attempt; isolation rounds
-            still run in fresh pools.  Unused when ``num_workers`` is 1.
+        warm_worker: A :class:`WarmWorker`, which selects the pooled
+            path even at ``num_workers=1`` and runs its shared rounds
+            in the worker's one reusable process, instead of a pool
+            built and joined for this call.  It is retired after a
+            broken pool, any attempt that did not return ok, or a
+            cancel that abandons an in-flight attempt; isolation passes
+            still run each suspect in a fresh pool.
 
     Returns:
         A :class:`SweepOutcome`; inspect ``.errors()`` or call
@@ -800,7 +804,7 @@ def run_sweep(
                 pending.append(job)
 
             if pending and not stopper.stopped:
-                if workers == 1:
+                if workers == 1 and warm_worker is None:
                     _run_serial(pending, campaign, wall_timeout,
                                 attempt_base)
                 else:
@@ -960,17 +964,21 @@ def _run_pool(pending: list[Job], campaign: _Campaign,
     :class:`ProcessPoolExecutor`, failing every in-flight future -- so
     the crasher cannot be identified from the wreckage, and innocent
     co-scheduled jobs must not be charged for it.  The recovery
-    protocol therefore has two phases:
+    protocol therefore has two phases, both run by
+    :func:`_parallel_round`:
 
-    1. *Parallel rounds*: all queued jobs share one pool.  Genuine
-       failures (a task raised or timed out inside its worker) consume
-       a retry; broken-pool casualties are requeued **without** losing
-       an attempt.
-    2. *Isolation rounds* (entered after a break): each suspect runs in
-       its own single-worker pool, so a crash is attributable to
-       exactly one job, which then pays the attempt.  Poisonous jobs
+    1. *Shared rounds*: all queued jobs share one pool (the ``warm``
+       worker's, when one is given).  Genuine failures (a task raised
+       or timed out inside its worker) consume a retry; broken-pool
+       casualties are requeued **without** losing an attempt.
+    2. *Isolation passes* (entered after a break): each suspect runs
+       alone in a fresh single-worker pool, so a crash is attributable
+       to exactly one job, which then pays the attempt.  Poisonous jobs
        settle as structured errors after their retry budget; everyone
        else completes normally.
+
+    Every attempt thus gets the same cancel polling, drain handling,
+    exception mapping and pool shutdown.
     """
     config = campaign.config
     attempts = {job.key: attempt_base for job in pending}
@@ -984,13 +992,20 @@ def _run_pool(pending: list[Job], campaign: _Campaign,
                 campaign.settle(job, _cancelled_outcome(job))
             return
         if isolate:
-            queue = _isolation_round(queue, attempts, failed_seconds,
-                                     campaign, wall_timeout)
+            suspects, queue = queue, []
+            for job in suspects:
+                if campaign.stop.stopped:
+                    return
+                if campaign.cancel_requested():
+                    campaign.settle(job, _cancelled_outcome(job))
+                    continue
+                queue += _parallel_round([job], attempts, failed_seconds,
+                                         campaign, wall_timeout, 1,
+                                         charge_crash=True)[0]
         else:
-            queue, broke = _parallel_round(queue, attempts, failed_seconds,
-                                           campaign, wall_timeout, workers,
-                                           warm)
-            isolate = broke
+            queue, isolate = _parallel_round(queue, attempts,
+                                             failed_seconds, campaign,
+                                             wall_timeout, workers, warm)
         if queue:
             round_number += 1
             if campaign.stop.wait(config.backoff_delay(round_number,
@@ -1015,8 +1030,8 @@ def _settle_or_requeue(job, res, attempts, failed_seconds, campaign,
 
 
 def _parallel_round(queue, attempts, failed_seconds, campaign,
-                    wall_timeout, workers, warm=None):
-    """One shared-pool pass.  Returns (requeue, pool_broke).
+                    wall_timeout, workers, warm=None, charge_crash=False):
+    """One pool pass.  Returns (requeue, pool_broke).
 
     Without a ``cancel_check`` the wait loop blocks until a future
     completes -- byte-for-byte the historical behavior.  With one, it
@@ -1028,6 +1043,10 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
     With a ``warm`` worker the round runs on its pool and leaves it
     running, unless the pool broke, an attempt did not return ok, or
     the round was abandoned: then the worker is retired.
+
+    A broken pool requeues its casualties free of charge, unless
+    ``charge_crash`` says the round ran one suspect alone (an isolation
+    pass): then the crash is that job's failed attempt.
     """
     config = campaign.config
     requeue: list[Job] = []
@@ -1047,7 +1066,7 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
             }
         except BrokenProcessPool:
             # A warm worker died while idle: no attempt ran, so every
-            # job goes to the isolation round free of charge.
+            # job goes to the isolation pass free of charge.
             broke = True
             return list(queue), broke
         poll = _CANCEL_POLL_SECONDS if campaign.cancel_check is not None \
@@ -1089,11 +1108,16 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
                 try:
                     res = future.result()
                 except BrokenProcessPool:
-                    # Collateral or culprit -- unknowable here.  Requeue
-                    # for an isolation round, free of charge.
                     broke = True
-                    requeue.append(job)
-                    continue
+                    if not charge_crash:
+                        # Collateral or culprit -- unknowable here.
+                        # Requeue for an isolation pass, free of charge.
+                        requeue.append(job)
+                        continue
+                    res = {"ok": False, "status": "error",
+                           "error": "worker process crashed (hard exit "
+                                    "while running this job)",
+                           "seconds": 0.0}
                 except Exception as exc:  # pickling errors etc.
                     res = {"ok": False, "status": "error",
                            "error": f"{type(exc).__name__}: {exc}",
@@ -1107,36 +1131,3 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
         elif broke or failed or abandoned:
             warm.retire(wait=not abandoned)
     return requeue, broke
-
-
-def _isolation_round(queue, attempts, failed_seconds, campaign,
-                     wall_timeout):
-    """One-job-per-pool pass: crashes are attributable, so they pay."""
-    config = campaign.config
-    requeue: list[Job] = []
-    for job in queue:
-        if campaign.stop.stopped:
-            return requeue
-        if campaign.cancel_requested():
-            campaign.settle(job, _cancelled_outcome(job))
-            continue
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(
-                invoke_job, job.payload,
-                _wall_timeout_for(job, wall_timeout, config),
-                attempts[job.key] + 1, campaign.chaos_doc, True,
-                campaign.trace_jobs)
-            try:
-                res = future.result()
-            except BrokenProcessPool:
-                res = {"ok": False, "status": "error",
-                       "error": "worker process crashed (hard exit while "
-                                "running this job)",
-                       "seconds": 0.0}
-            except Exception as exc:
-                res = {"ok": False, "status": "error",
-                       "error": f"{type(exc).__name__}: {exc}",
-                       "seconds": 0.0}
-        _settle_or_requeue(job, res, attempts, failed_seconds,
-                           campaign, requeue)
-    return requeue

@@ -25,11 +25,13 @@ both paths:
   crashes, reaps and worker hops.
 * **Warm workers.**  With process isolation each slot owns one
   :class:`~repro.runner.executor.WarmWorker`, forked on its first
-  claim and reused by the next jobs.  The executor retires it after a
+  claim and reused by the next jobs; handing it to the executor is
+  what selects its pooled path.  The executor retires it after a
   broken pool, any attempt that did not return ok (error or wall
   timeout) or a cancel that abandons the attempt; crash attribution
-  still runs each suspect in a fresh pool.  The slot shuts its worker
-  down when its loop exits.
+  still runs each suspect in a fresh pool, through the same round
+  that polls cancels and lost leases.  The slot shuts its worker down
+  when its loop exits.
 * **Leases.**  A heartbeat thread renews the claim's lease while the
   job runs.  Because it outlives a solve wedged inside a worker
   process, renewal stops at a horizon: the job's worst-case wall budget
@@ -226,8 +228,9 @@ class ClaimRunner:
         Args:
             wait_seconds: How long the claim may wait for work when the
                 queue is empty (0 answers at once).
-            warm_worker: The slot's reusable worker process, for jobs
-                run with process isolation (``None`` forks per job).
+            warm_worker: The slot's reusable worker process, which
+                runs the job with process isolation (``None`` runs it
+                on the calling thread).
         """
         claimed = self.transport.claim(self.supervision.lease_seconds,
                                        wait_seconds)
@@ -274,7 +277,7 @@ class ClaimRunner:
         try:
             outcome = run_sweep(
                 [job],
-                num_workers=2 if self.isolate_jobs else 1,
+                num_workers=1,
                 cache=self.cache,
                 config=self.runner_config,
                 wall_timeout=wall_timeout,

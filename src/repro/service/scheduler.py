@@ -133,8 +133,7 @@ class Scheduler:
         self.store = store
         self.cache = cache
         self.config = config
-        self.runner_config = runner_config or RunnerConfig(
-            num_workers=2 if config.isolate_jobs else 1)
+        self.runner_config = runner_config or RunnerConfig()
         #: The local pool's identity in the store's worker table.
         self.worker_id = "local"
         self.runner = ClaimRunner(

@@ -1,4 +1,4 @@
-"""Retry semantics, backoff, failure budgets, and signal hygiene.
+"""Retry semantics, crash isolation, backoff, failure budgets, signals.
 
 The executor's recovery machinery must be exact: a transient fault on
 the first N-1 attempts plus a success is exactly N attempts, backoff
@@ -7,6 +7,8 @@ corrupt its caller's signal handling.
 """
 
 import signal
+import threading
+import time
 
 import pytest
 
@@ -124,6 +126,63 @@ class TestRetrySemantics:
         (settled,) = outcome.outcomes
         assert settled.status == "timeout"
         assert settled.attempts == 1
+
+
+class TestIsolationPass:
+    """After a worker crash each suspect re-runs alone in a fresh pool,
+    through the same round as every other pooled attempt: a cancel
+    reaches the retry, and a drain lets it finish."""
+
+    def test_crash_retry_is_charged_to_the_crasher(self):
+        plan = FaultPlan(seed=0, points=[
+            FaultPoint("worker.crash", attempts=(1,))])
+        outcome = run_sweep(
+            [_job("sleep_task", sleep_seconds=0.2)], num_workers=2,
+            config=_fast_config(retries=2), chaos=plan,
+            handle_signals=False)
+        (settled,) = outcome.outcomes
+        assert settled.status == "done"
+        assert settled.attempts == 2
+
+    def test_cancel_during_the_crash_retry_settles_cancelled(self):
+        """The shared round crashes (free), the isolation pass crashes
+        again (attempt 1, charged), and attempt 2 sleeps: a cancel
+        raised while it sleeps must not wait for the sleep to end."""
+        plan = FaultPlan(seed=0, points=[
+            FaultPoint("worker.crash", attempts=(1,))])
+        cancel_at = time.monotonic() + 1.5
+        outcome = run_sweep(
+            [_job("sleep_task", sleep_seconds=5.0)], num_workers=2,
+            config=_fast_config(retries=2), chaos=plan,
+            handle_signals=False,
+            cancel_check=lambda: time.monotonic() >= cancel_at)
+        settled_after = time.monotonic() - cancel_at
+        (settled,) = outcome.outcomes
+        assert settled.status == "cancelled"
+        assert settled_after < 1.0
+
+    def test_drain_settles_the_suspect_in_flight_only(self):
+        """Both jobs are casualties of one broken pool.  A drain raised
+        while the sleeper runs alone lets it settle; the crasher,
+        whichever order the pass takes, stays unsettled for resume."""
+        crasher = _job("echo_task", value=1)
+        sleeper = _job("sleep_task", sleep_seconds=3.0)
+        plan = FaultPlan(seed=0, points=[
+            FaultPoint("worker.crash", match=crasher.key, attempts=())])
+        stop = threading.Event()
+        timer = threading.Timer(1.2, stop.set)
+        timer.start()
+        try:
+            outcome = run_sweep(
+                [crasher, sleeper], num_workers=2,
+                config=_fast_config(retries=2), chaos=plan,
+                handle_signals=False, stop_event=stop)
+        finally:
+            timer.cancel()
+        assert outcome.interrupted
+        (settled,) = outcome.outcomes
+        assert settled.job.key == sleeper.key
+        assert settled.status == "done"
 
 
 class TestBackoff:

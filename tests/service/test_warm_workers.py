@@ -160,6 +160,36 @@ class TestRetirement:
         assert after != before
 
 
+class TestCrashRetryCancel:
+    def test_delete_during_the_crash_retry_cancels_the_job(
+            self, store, tmp_path):
+        """The crash breaks the warm worker, the isolation pass charges
+        attempt 1, and attempt 2 sleeps in a fresh pool: a cancel then
+        settles the job at once, and the slot goes on to its next job."""
+        scheduler = one_slot(store, tmp_path, retries=2,
+                             backoff_seconds=0.0)
+        try:
+            doc = sleep_spec(5.0, [1], name="crash-then-sleep")
+            crash_key = SweepSpec.from_dict(doc).expand()[0].key
+            plan = {"kind": "fault_plan", "seed": 1,
+                    "points": [{"site": "worker.crash",
+                                "match": crash_key, "attempts": [1]}]}
+            with injected(plan):
+                analysis_id, _ = submitted(store, doc)
+                wait_for(lambda: store.counts()["running"] == 1)
+                time.sleep(1.0)
+                store.cancel_analysis(analysis_id)
+                cancelled_at = time.monotonic()
+                job = settled(store, analysis_id)
+                waited = time.monotonic() - cancelled_at
+            after = pid_of(scheduler, store, 2)
+        finally:
+            scheduler.stop()
+        assert job["state"] == "cancelled"
+        assert waited < 2.0
+        assert after != os.getpid()
+
+
 class TestShutdown:
     def test_stop_leaves_no_worker_process(self, store, tmp_path):
         existing = children()
