@@ -74,9 +74,11 @@ RELATIONS = {
         # One LP run per scenario re-solve plus one healthy solve per
         # campaign: a second LP per re-solve breaks it.
         "solver.lp_solve.n == solver.resolve_with.n + failures.campaign.n",
-        # Every fresh solve and every healthy flow is written to the
-        # cache exactly once, from whichever thread writes it.
-        "runner.cache_put.n == failures.delivered.n + failures.campaign.n",
+        # Every fresh solve, every healthy flow and every sampled round
+        # is written to the cache exactly once, from whichever thread
+        # writes it.
+        "runner.cache_put.n == failures.delivered.n + failures.campaign.n"
+        " + failures.sample.n",
         # No re-solve falls back to a freshly built model.
         "failures.fallbacks == 0",
     ),
@@ -86,6 +88,9 @@ RELATIONS = {
         # memoized, shows up here.
         "runner.cache_hit_ratio == 1.0",
         "runner.cache_get.n > 0",
+        # One read of the healthy flow per campaign and one of each
+        # sampled round's entry: no scenario is read on its own.
+        "runner.cache_get.n == failures.campaign.n + failures.sample.n",
         # So no resolver is compiled and no LP is solved.
         "failures.resolver_init.n == 0",
         "solver.lp_solve.n == 0",

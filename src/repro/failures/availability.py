@@ -23,19 +23,31 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
   on the sample stream and ``chunk_size`` -- never on the worker
   count -- and results merge by scenario identity, so the estimate is
   **bit-identical regardless of ``--jobs``**.
-* **Persistent memoization** -- delivered flow is content-addressed by
-  ``(topology, demands, paths, scenario)`` through
-  :mod:`repro.runner.cache`, so repeated campaigns (threshold sweeps,
-  service resubmissions) skip already-solved scenarios entirely.  The
-  key is built from the sampled failure-matrix row
-  (:meth:`ScenarioSampler.delivered_keyer`) yet equals
-  :func:`scenario_cache_key` of the scenario's document, so no
-  scenario object or document exists for a cache hit.  The healthy
-  flow is memoized per instance in the same cache, so a warm re-run
-  solves no LP at all.  Without a cache no key is computed.  Fresh
-  entries are written behind the solves (:meth:`ResultCache.writer`),
-  handed to the writer thread one chunk at a time, and are all on disk
-  when the estimate returns.
+* **Persistent memoization** -- a campaign writes three kinds of
+  entry to :mod:`repro.runner.cache`, so repeated campaigns (threshold
+  sweeps, service resubmissions) skip already-solved work entirely:
+
+  - *per scenario*: its delivered flow, keyed by ``(topology, demands,
+    paths, scenario)``.  The key is built from the sampled
+    failure-matrix row (:meth:`ScenarioSampler.delivered_keyer`) yet
+    equals :func:`scenario_cache_key` of the scenario's document, so
+    no scenario object or document exists for a cache hit;
+  - *healthy flow*: the no-failure flow, keyed by the instance alone,
+    so a warm re-run solves no LP at all;
+  - *per round*: every sample's delivered flow in draw order, keyed by
+    the instance and the bytes of the round's failure matrix
+    (:func:`round_cache_key`).  A round the cache holds is replayed
+    from that one entry, with no per-scenario key or read; the key
+    names the sampled rows, not the seed or the threshold, so a
+    re-sweep at any threshold, worker count or chunk size shares it.
+    A missing, torn or misshapen round entry falls back to the
+    per-scenario entries, and is written once the round is solved, so
+    caches from before round entries still hit and gain them.
+
+  Without a cache no key is computed.  Fresh entries are written
+  behind the solves (:meth:`ResultCache.writer`), handed to the writer
+  thread one chunk at a time (a round's entry with its last chunk),
+  and are all on disk when the estimate returns.
 * **Adaptive stopping** -- an optional ``ci_width`` target keeps
   drawing rounds of samples until the normal-approximation confidence
   interval on availability is narrow enough.
@@ -566,6 +578,37 @@ def _healthy_flow(topology, demands, paths, cache: ResultCache | None,
     return flow
 
 
+def round_cache_key(instance_key: str, blob: bytes, columns: int) -> str:
+    """Content address of one sampled round's delivered flows.
+
+    ``blob`` is the round's failure matrix, columns in
+    :func:`scenario_doc` order, as ``tobytes()`` gives it; its digest
+    and width fix every row, so the key names the sampled scenarios
+    themselves -- not the seed, the sample count, the threshold or the
+    worker count that produced them.
+    """
+    return job_key({
+        "task": "availability.round",
+        "instance": instance_key,
+        "columns": columns,
+        "rows": hashlib.sha256(blob).hexdigest(),
+    })
+
+
+def _round_replay(hit, batch: int) -> list[float] | None:
+    """A round entry's delivered flows, or ``None`` unless it holds one
+    per sample of the round."""
+    delivered = hit.get("delivered") if isinstance(hit, dict) else None
+    if not isinstance(delivered, list) or len(delivered) != batch:
+        return None
+    return [float(value) for value in delivered]
+
+
+def _round_document(delivered_by_row: dict, drawn: list) -> dict:
+    """A round entry: the delivered flow of each sample, in draw order."""
+    return {"delivered": [delivered_by_row[row] for row in drawn]}
+
+
 def _estimate(topology, demands, paths, config, cache, runner_config,
               workers, tracer) -> AvailabilityEstimate:
     ser = _ser()
@@ -594,8 +637,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         sampler = ScenarioSampler(topology)
         evaluator = _ChunkEvaluator(instance, sampler, workers,
                                     runner_config, tracer)
-        keyer = sampler.delivered_keyer(instance_key) \
-            if cache is not None else None
+        keyer = None  # built at the first round the cache cannot replay
         rng = np.random.default_rng(config.seed)
 
         # Scenarios are tracked by the bytes of their failure-matrix row
@@ -608,6 +650,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         key_by_row: dict[bytes, str] = {}
         delivered_by_row: dict[bytes, float] = {}
         cache_hits = 0
+        round_hits = 0
         fresh_solves = 0
         chunks_dispatched = 0
         rounds = 0
@@ -630,10 +673,25 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                         positions_by_row[row] = failed[start:end]
                         pending.append(row)
                     start = end
+            drawn = sample_rows[-batch:]
 
-            # Persistent memoization: answer what we can from the
-            # delivered-flow cache, chunk only the misses.
+            # Persistent memoization: a round the cache holds whole is
+            # replayed from its one entry; otherwise answer what we can
+            # per scenario and chunk only the misses.
             misses: list[bytes] = []
+            round_key = None  # set while this round's entry is unwritten
+            if cache is not None:
+                key = round_cache_key(instance_key, blob, size)
+                replay = _round_replay(cache.get(key), batch)
+                if replay is not None:
+                    delivered_by_row.update(zip(drawn, replay))
+                    cache_hits += len(pending)
+                    round_hits += 1
+                    pending = []
+                else:
+                    round_key = key
+                    if keyer is None:
+                        keyer = sampler.delivered_keyer(instance_key)
             for row in pending:
                 if cache is not None:
                     key = keyer(positions_by_row[row])
@@ -658,17 +716,25 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                          for chunk in chunks],
                         start_index=chunks_dispatched,
                     )
-                    for chunk, delivered in zip(chunks, values,
-                                                strict=True):
+                    for index, (chunk, delivered) in enumerate(
+                            zip(chunks, values, strict=True)):
                         for row, value in zip(chunk, delivered,
                                               strict=True):
                             delivered_by_row[row] = value
                         fresh_solves += len(chunk)
                         if cache is not None:
-                            write.extend(
+                            entries = [
                                 (key_by_row.pop(row), {"delivered": value})
-                                for row, value in zip(chunk, delivered))
+                                for row, value in zip(chunk, delivered)]
+                            if index == len(chunks) - 1:
+                                # The round's entry rides with its last
+                                # chunk: one writer wake-up for both.
+                                entries.append((round_key, _round_document(
+                                    delivered_by_row, drawn)))
+                            write.extend(entries)
                 chunks_dispatched += len(chunks)
+            elif round_key is not None:
+                write(round_key, _round_document(delivered_by_row, drawn))
 
             degradations = [
                 healthy_flow - delivered_by_row[row]
@@ -684,6 +750,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             total_samples=len(sample_rows),
             distinct_scenarios=len(positions_by_row),
             cache_hits=cache_hits,
+            round_hits=round_hits,
             fresh_solves=fresh_solves,
             chunk_fallbacks=evaluator.chunk_fallbacks,
             rounds=rounds,
@@ -692,6 +759,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
     metrics().counter("availability.samples").inc(len(sample_rows))
     metrics().counter("availability.distinct").inc(len(positions_by_row))
     metrics().counter("availability.cache_hits").inc(cache_hits)
+    metrics().counter("availability.round_hits").inc(round_hits)
     metrics().counter("availability.fresh_solves").inc(fresh_solves)
 
     array = np.asarray(degradations)

@@ -50,8 +50,9 @@ def test_every_entry_is_on_disk_when_the_campaign_returns(
         *instance, config(workers), cache=cache)
     assert estimate.fresh_solves > 3
     entries = sorted(tmp_path.glob("*.json"))
-    # One entry per fresh solve, plus the healthy flow.
-    assert len(entries) == estimate.fresh_solves + 1
+    # One entry per fresh solve, plus the healthy flow and one per
+    # sampled round.
+    assert len(entries) == estimate.fresh_solves + 1 + estimate.rounds
     assert not list(tmp_path.glob("*.tmp"))
     assert not writer_threads()
     for path in entries:
@@ -107,7 +108,7 @@ def test_a_torn_write_is_quarantined_on_the_next_get(instance, tmp_path):
     clean = estimate_availability_parallel(*instance, config(),
                                            cache=cache, chaos=plan)
     keys = [path.stem for path in tmp_path.glob("*.json")]
-    assert len(keys) == clean.fresh_solves + 1
+    assert len(keys) == clean.fresh_solves + 1 + clean.rounds
     torn = [key for key in keys if cache.get(key) is None]
     assert len(torn) == 1
     assert cache.quarantined() == [cache.quarantine_path_for(torn[0])]

@@ -155,7 +155,8 @@ class TestRowKeys:
         assert warm.distinct_scenarios == len(seen)
         assert warm.fresh_solves == 0
         assert warm.cache_hits == warm.distinct_scenarios
-        assert len(cache) == len(seen) + 1  # plus the healthy memo
+        # Plus the healthy memo and the round's entry.
+        assert len(cache) == len(seen) + 1 + warm.rounds
 
     @pytest.mark.parametrize("name", ["grouped", "escaped"])
     def test_worst_scenario_is_the_first_argmax(self, name, request,

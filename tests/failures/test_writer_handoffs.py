@@ -5,7 +5,8 @@ thread, and a woken thread competes with the solving thread for the
 interpreter.  The engine therefore hands over the fresh results of a
 chunk together, after the chunk's last value: a cold campaign makes at
 most one hand-off per chunk that solved anything, plus one for the
-healthy flow.  The write-behind's own batch rules are tested here too.
+healthy flow; the round's entry rides with its last chunk.  The
+write-behind's own batch rules are tested here too.
 """
 
 import math
@@ -66,10 +67,12 @@ def test_a_cold_campaign_hands_over_one_batch_per_chunk(
     assert estimate.fresh_solves > chunks  # some chunk holds several
     assert len(handoffs) <= chunks + 1
     # Every entry is handed over once: the healthy flow, then the
-    # fresh solves in chunk order.
+    # fresh solves in chunk order, the round's entry with the last.
     keys = [key for batch in handoffs for key, _ in batch]
-    assert len(keys) == len(set(keys)) == estimate.fresh_solves + 1
+    assert len(keys) == len(set(keys)) == \
+        estimate.fresh_solves + 1 + estimate.rounds
     assert "healthy_flow" in handoffs[0][0][1]
+    assert len(handoffs[-1][-1][1]["delivered"]) == estimate.samples
     assert sorted(path.stem for path in tmp_path.glob("*.json")) == \
         sorted(keys)
 

@@ -7,8 +7,10 @@ times:
    sampling, up-front dedup), then clean in-process (``num_workers=1``,
    the path that builds scenarios straight from the sample) against a
    cold persistent cache, asserting a bit-identical estimate, one
-   cache entry per fresh solve plus the healthy flow, and zero fresh
-   solves on a warm in-process re-run;
+   cache entry per fresh solve plus the healthy flow and one per
+   sampled round, and a warm in-process re-run at another threshold
+   that does zero fresh solves and reads only the healthy flow and the
+   round entries;
 2. under a hostile fault plan -- worker chunks fail wholesale
    (``availability.chunk``) and first-attempt workers crash
    (``worker.crash``) -- asserting the estimate stays *bit-identical*:
@@ -20,7 +22,8 @@ times:
    equality is the contract -- same as the resilience suite);
 4. through the ``python -m repro availability`` CLI verb with the
    bit-identity chaos plan, a JSONL trace, and a cold persistent cache,
-   then once more warm, asserting the warm run does zero fresh solves.
+   then once more warm at another threshold, asserting the warm run
+   does zero fresh solves.
 
 Exit code 0 on success, 1 with a diagnostic on any failure.
 
@@ -45,10 +48,23 @@ from repro.network.demand import gravity_demands
 from repro.network.zoo import b4
 from repro.paths.pathset import PathSet
 from repro.resilience.faults import FaultPlan, FaultPoint
+from repro.runner.cache import ResultCache
 
 SAMPLES = 120
 SEED = 7
 THRESHOLD = 1.0
+#: The warm re-runs' threshold: a re-sweep reads the same entries.
+WARM_THRESHOLD = 1000.0
+
+
+class _CountingCache(ResultCache):
+    """A result cache that counts its reads."""
+
+    reads = 0
+
+    def get(self, key: str):
+        self.reads += 1
+        return super().get(key)
 
 
 def _fail(message: str) -> int:
@@ -133,17 +149,28 @@ def main() -> int:
             return _fail("in-process estimate diverged from the pooled "
                          "clean run")
         entries = len(list(Path(tmp).glob("*.json")))
-        if entries != local.fresh_solves + 1:
+        if entries != local.fresh_solves + 1 + local.rounds:
             return _fail(f"in-process cold run left {entries} cache "
                          f"entries for {local.fresh_solves} fresh solves "
-                         "plus the healthy flow")
+                         f"plus the healthy flow and {local.rounds} "
+                         "round(s)")
+        cache = _CountingCache(tmp)
         warm = estimate_availability_parallel(
-            topology, demands, paths, in_process, cache=tmp)
+            topology, demands, paths,
+            dataclasses.replace(in_process,
+                                degradation_threshold=WARM_THRESHOLD),
+            cache=cache)
         if warm.fresh_solves != 0:
             return _fail(f"warm in-process run did {warm.fresh_solves} "
                          "fresh solves")
+        if cache.reads != warm.rounds + 1:
+            return _fail(f"warm in-process run read {cache.reads} cache "
+                         f"entries, not the healthy flow and "
+                         f"{warm.rounds} round(s)")
+        if warm.degradations != local.degradations:
+            return _fail("warm in-process run diverged from the cold run")
     print(f"in-process: estimate bit-identical, {entries} cache entries, "
-          "warm re-run solved nothing")
+          f"warm re-run solved nothing and read {cache.reads}")
 
     chaotic = estimate_availability_parallel(topology, demands, paths,
                                              config, chaos=CHAOS)
@@ -174,7 +201,7 @@ def main() -> int:
         plan_path = root / "chaos.json"
         plan_path.write_text(json.dumps(CHAOS.to_dict()))
 
-        def run_cli(out_name: str) -> dict:
+        def run_cli(out_name: str, threshold: float) -> dict:
             out = root / out_name
             code = cli.main([
                 "availability",
@@ -182,7 +209,7 @@ def main() -> int:
                 "--paths", str(paths_path),
                 "--demands", str(demands_path),
                 "--samples", str(SAMPLES), "--seed", str(SEED),
-                "--threshold-traffic", str(THRESHOLD),
+                "--threshold-traffic", str(threshold),
                 "--jobs", "2", "--chunk-size", "8",
                 "--workdir", str(root / "avail"),
                 "--chaos", str(plan_path),
@@ -193,7 +220,7 @@ def main() -> int:
                 raise RuntimeError(f"CLI exited {code}")
             return json.loads(out.read_text())
 
-        cold = run_cli("cold.json")
+        cold = run_cli("cold.json", THRESHOLD)
         if cold["availability"] != clean.availability:
             return _fail("CLI chaos run disagrees with the direct engine")
         if cold["chunk_fallbacks"] == 0:
@@ -202,7 +229,7 @@ def main() -> int:
             return _fail("cold CLI run should have solved every "
                          "distinct scenario fresh")
 
-        warm = run_cli("warm.json")
+        warm = run_cli("warm.json", WARM_THRESHOLD)
         if warm["fresh_solves"] != 0:
             return _fail(f"warm CLI run did {warm['fresh_solves']} "
                          "fresh solves; the persistent cache is dead")
