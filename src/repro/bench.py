@@ -69,11 +69,15 @@ RELATIONS = {
         "failures.campaign.n > 0",
         "failures.sample.n > 0",
         "failures.delivered.n > 0",
-        # One resolver compile per in-process campaign.
-        "failures.resolver_init.n == failures.campaign.n",
-        # One LP run per scenario re-solve plus one healthy solve per
-        # campaign: a second LP per re-solve breaks it.
-        "solver.lp_solve.n == solver.resolve_with.n + failures.campaign.n",
+        # The campaign plan compiled by set-up's warm-up campaign serves
+        # every measured one: no resolver compile and no healthy solve.
+        "failures.resolver_init.n == 0",
+        # One LP run per scenario re-solve: a second LP per re-solve, or
+        # a healthy solve the plan did not spare, breaks it.
+        "solver.lp_solve.n == solver.resolve_with.n",
+        # One round key per sampled round, and no instance or healthy
+        # key hashed per campaign.
+        "runner.job_key.n == failures.sample.n",
         # Every fresh solve, every healthy flow and every sampled round
         # is written to the cache exactly once, from whichever thread
         # writes it.
@@ -94,6 +98,9 @@ RELATIONS = {
         # So no resolver is compiled and no LP is solved.
         "failures.resolver_init.n == 0",
         "solver.lp_solve.n == 0",
+        # One round key per sampled round: the instance and healthy keys
+        # come from the campaign plan.
+        "runner.job_key.n == failures.sample.n",
     ),
     "analyze-grid": (
         "core.analyze.n > 0",

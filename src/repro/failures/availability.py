@@ -47,7 +47,23 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
   Without a cache no key is computed.  Fresh entries are written
   behind the solves (:meth:`ResultCache.writer`), handed to the writer
   thread one chunk at a time (a round's entry with its last chunk),
-  and are all on disk when the estimate returns.
+  and are all on disk when the estimate returns.  A replayed round
+  finds no scenario's failed links; only rows it cannot answer, and
+  the worst, are turned into positions.
+* **Campaign plans** -- what depends on ``(topology, demands, paths)``
+  alone is built once per process and instance, not once per
+  campaign: the instance documents, their key and the healthy-flow
+  key, the :class:`ScenarioSampler`, the keyer, the parent
+  :class:`ScenarioResolver` and the healthy flow once solved.  A plan
+  is keyed on the pickle of the freshly serialized documents (pickle
+  tells ``10`` from ``10.0``, so equal bytes mean an equal
+  :func:`job_key`; in-place edits to the caller's topology, demands or
+  path set change the bytes).  The last :data:`PLAN_SLOTS` plans are
+  kept, least recently used first out; there is no knob.  A campaign
+  checks its plan out and hands it back when it returns, so no two
+  threads share a HiGHS session, and a plan made in another process
+  is not reused.  The cache is read and written as before: the plan
+  spares a healthy-flow miss its solve, not its read or its write.
 * **Adaptive stopping** -- an optional ``ci_width`` target keeps
   drawing rounds of samples until the normal-approximation confidence
   interval on availability is narrow enough.
@@ -65,8 +81,12 @@ import hashlib
 import logging
 import math
 import os
+import pickle
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -132,7 +152,6 @@ class ScenarioSampler:
     """
 
     def __init__(self, topology: Topology):
-        self.topology = topology
         grouped: dict[tuple, int] = {}
         group_ps: list[float] = []
         gid_to_col: dict[int, int] = {}
@@ -397,37 +416,113 @@ def _ci_width(degradations: list[float], healthy_flow: float,
     return 2.0 * z * std / math.sqrt(n)
 
 
+#: Campaign plans one process keeps, least recently used first out.  A
+#: threshold re-sweep reuses one; a few more serve a caller that
+#: alternates between instances.
+PLAN_SLOTS = 4
+
+#: Idle plans by the pickle of their instance documents.
+_plans: OrderedDict[bytes, _CampaignPlan] = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _new_plans_lock() -> None:
+    # A forked child copies the lock as it was: held, if another thread
+    # held it at the fork, and then nothing in the child releases it.
+    global _plans_lock
+    _plans_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_plans_lock)
+
+
+class _CampaignPlan:
+    """What a campaign derives from ``(topology, demands, paths)`` alone.
+
+    The instance documents, the sampler and the healthy flow are the
+    same for every campaign on an instance, whatever its seed, threshold
+    or sample count; so are the keys, the keyer and the parent
+    resolver, which are built on first use.  The healthy flow is kept
+    once a campaign has solved it.
+    """
+
+    def __init__(self, instance: dict, topology: Topology):
+        self.pid = os.getpid()
+        self.instance = instance
+        self.sampler = ScenarioSampler(topology)
+        self.healthy_flow: float | None = None
+
+    @cached_property
+    def instance_key(self) -> str:
+        return job_key(self.instance)
+
+    @cached_property
+    def healthy_key(self) -> str:
+        return job_key({"task": "availability.healthy",
+                        "instance": self.instance_key})
+
+    @cached_property
+    def keyer(self):
+        return self.sampler.delivered_keyer(self.instance_key)
+
+    @cached_property
+    def resolver(self) -> ScenarioResolver:
+        return ScenarioResolver(*_instance_from_docs(self.instance))
+
+
+@contextmanager
+def _checked_out_plan(instance: dict, topology: Topology):
+    """``(plan, reused)`` for the serialized instance ``instance``.
+
+    Plans are keyed on the pickle of the documents: unlike ``==``, it
+    tells ``10`` from ``10.0`` and ``0.0`` from ``-0.0``, so equal bytes
+    mean equal canonical JSON and an equal :func:`job_key`.  A plan is
+    held by one campaign at a time -- its resolver's HiGHS session has
+    state -- so a concurrent campaign on the same instance builds its
+    own.  It goes back only if the campaign returns, and a plan made in
+    another process (a forked worker inherits the memo) is not reused.
+    """
+    fingerprint = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+    with _plans_lock:
+        plan = _plans.pop(fingerprint, None)
+    reused = plan is not None and plan.pid == os.getpid()
+    if not reused:
+        plan = _CampaignPlan(instance, topology)
+    yield plan, reused
+    with _plans_lock:
+        _plans[fingerprint] = plan
+        _plans.move_to_end(fingerprint)
+        while len(_plans) > PLAN_SLOTS:
+            _plans.popitem(last=False)
+
+
 class _ChunkEvaluator:
     """Delivered flow for chunks of scenarios, pooled or in-process.
 
     Both paths produce values from a :class:`ScenarioResolver` compiled
     from the *serialized* instance documents -- the same LP, in the
     same variable order, whether it is built in a worker process or in
-    the parent for the fallback path -- which is what makes the merge
+    the parent (the plan's resolver) -- which is what makes the merge
     independent of where each chunk happened to run.  A scenario
     reaches a worker as its JSON document (:meth:`ScenarioSampler.doc_at`);
     in the parent it is built from the sampler's link tuples
     (:meth:`ScenarioSampler.scenario_at`), the same set of links.
     """
 
-    def __init__(self, instance: dict, sampler: ScenarioSampler,
-                 workers: int, runner_config: RunnerConfig | None, tracer):
-        self.instance = instance
-        self.sampler = sampler
+    def __init__(self, plan: _CampaignPlan, workers: int,
+                 runner_config: RunnerConfig | None, tracer):
+        self.plan = plan
         self.workers = workers
         self.runner_config = runner_config or RunnerConfig()
         self.tracer = tracer
         self.chunk_fallbacks = 0
-        self._resolver: ScenarioResolver | None = None
 
     def _parent_resolver(self) -> ScenarioResolver:
-        if self._resolver is None:
-            self._resolver = ScenarioResolver(
-                *_instance_from_docs(self.instance))
-        return self._resolver
+        return self.plan.resolver
 
     def _scenarios(self, chunk: list) -> list[FailureScenario]:
-        return [self.sampler.scenario_at(positions) for positions in chunk]
+        return [self.plan.sampler.scenario_at(positions)
+                for positions in chunk]
 
     def _fallback(self, chunk: list) -> list[float]:
         self.chunk_fallbacks += 1
@@ -461,10 +556,10 @@ class _ChunkEvaluator:
         jobs = [
             Job(payload={
                 "task": CHUNK_TASK,
-                "instance": self.instance,
+                "instance": self.plan.instance,
                 "params": {
                     "chunk_index": start_index + offset,
-                    "scenarios": [self.sampler.doc_at(positions)
+                    "scenarios": [self.plan.sampler.doc_at(positions)
                                   for positions in chunk],
                 },
             })
@@ -555,27 +650,26 @@ def estimate_availability_parallel(
                          runner_config, workers, tracer)
 
 
-def _healthy_flow(topology, demands, paths, cache: ResultCache | None,
-                  instance_key: str | None, write) -> float:
+def _healthy_flow(plan: _CampaignPlan, topology, demands, paths,
+                  cache: ResultCache | None, write) -> float:
     """The design point's delivered traffic, memoized per instance.
 
     With a cache the flow is stored (through ``write``, the cache's
     write-behind) under its own content address, so a warm re-run of
     any campaign on the instance skips the LP entirely (JSON round-trips
-    the float exactly).
+    the float exactly).  The cache is read and written as if there were
+    no plan; the plan only spares a miss its solve.
     """
-    key = None
     if cache is not None:
-        key = job_key({"task": "availability.healthy",
-                       "instance": instance_key})
-        hit = cache.get(key)
+        hit = cache.get(plan.healthy_key)
         if hit is not None:
             return float(hit["healthy_flow"])
-    flow = TotalFlowTE(primary_only=True).solve(
-        topology, demands, paths).total_flow
+    if plan.healthy_flow is None:
+        plan.healthy_flow = TotalFlowTE(primary_only=True).solve(
+            topology, demands, paths).total_flow
     if cache is not None:
-        write(key, {"healthy_flow": flow})
-    return flow
+        write(plan.healthy_key, {"healthy_flow": plan.healthy_flow})
+    return plan.healthy_flow
 
 
 def round_cache_key(instance_key: str, blob: bytes, columns: int) -> str:
@@ -617,8 +711,17 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         "demands": ser.demands_to_dict(demands),
         "paths": ser.paths_to_dict(paths),
     }
-    # Keys are only ever needed to talk to a cache.
-    instance_key = job_key(instance) if cache is not None else None
+    with _checked_out_plan(instance, topology) as (plan, reused):
+        if reused:
+            metrics().counter("availability.plan_hits").inc()
+        return _campaign(plan, reused, topology, demands, paths, config,
+                         cache, runner_config, workers, tracer)
+
+
+def _campaign(plan: _CampaignPlan, reused: bool, topology, demands, paths,
+              config, cache, runner_config, workers,
+              tracer) -> AvailabilityEstimate:
+    sampler = plan.sampler
     z = NormalDist().inv_cdf(0.5 + config.ci_confidence / 2.0)
     adaptive = config.ci_width is not None
     max_samples = config.resolved_max_samples() if adaptive \
@@ -629,24 +732,22 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
     # landed when the block is left.
     with tracer.span(
         "availability", samples=config.samples, workers=workers,
-        adaptive=adaptive,
+        adaptive=adaptive, plan_reused=reused,
     ) as span, (cache.writer() if cache is not None
                 else nullcontext()) as write:
-        healthy_flow = _healthy_flow(topology, demands, paths, cache,
-                                     instance_key, write)
-        sampler = ScenarioSampler(topology)
-        evaluator = _ChunkEvaluator(instance, sampler, workers,
-                                    runner_config, tracer)
-        keyer = None  # built at the first round the cache cannot replay
+        healthy_flow = _healthy_flow(plan, topology, demands, paths, cache,
+                                     write)
+        evaluator = _ChunkEvaluator(plan, workers, runner_config, tracer)
         rng = np.random.default_rng(config.seed)
 
         # Scenarios are tracked by the bytes of their failure-matrix row
         # (columns in scenario_doc order); per distinct row only its
-        # failed positions and, with a cache, its key are kept.  Misses
-        # become FailureScenarios (docs, for a worker pool), and so does
-        # the worst.
+        # round's matrix and its index there are kept.  Failed positions
+        # are found only for rows a replayed round does not answer, and
+        # for the worst; misses become FailureScenarios (docs, for a
+        # worker pool), and so does the worst.
         sample_rows: list[bytes] = []      # per sample, in draw order
-        positions_by_row: dict[bytes, list[int]] = {}
+        source_by_row: dict[bytes, tuple[np.ndarray, int]] = {}
         key_by_row: dict[bytes, str] = {}
         delivered_by_row: dict[bytes, float] = {}
         cache_hits = 0
@@ -656,32 +757,33 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         rounds = 0
         width: float | None = None
 
+        def positions(row: bytes) -> list[int]:
+            matrix, index = source_by_row[row]
+            return np.flatnonzero(matrix[index]).tolist()
+
         while len(sample_rows) < max_samples:
             batch = min(config.samples, max_samples - len(sample_rows))
             rounds += 1
             with tracer.span("availability.sample", batch=batch):
                 matrix = sampler.in_doc_order(sampler.sample(rng, batch))
-                failed = np.nonzero(matrix)[1].tolist()
-                ends = np.cumsum(matrix.sum(axis=1)).tolist()
                 blob, size = matrix.tobytes(), matrix.shape[1]
+                drawn = [blob[index * size:(index + 1) * size]
+                         for index in range(batch)]
+                sample_rows.extend(drawn)
                 pending: list[bytes] = []
-                start = 0
-                for index, end in enumerate(ends):
-                    row = blob[index * size:(index + 1) * size]
-                    sample_rows.append(row)
-                    if row not in positions_by_row:
-                        positions_by_row[row] = failed[start:end]
+                for index, row in enumerate(drawn):
+                    if row not in source_by_row:
+                        source_by_row[row] = (matrix, index)
                         pending.append(row)
-                    start = end
-            drawn = sample_rows[-batch:]
 
             # Persistent memoization: a round the cache holds whole is
             # replayed from its one entry; otherwise answer what we can
-            # per scenario and chunk only the misses.
-            misses: list[bytes] = []
+            # per scenario and chunk only the misses, with their failed
+            # positions.
+            misses: list[tuple[bytes, list[int]]] = []
             round_key = None  # set while this round's entry is unwritten
             if cache is not None:
-                key = round_cache_key(instance_key, blob, size)
+                key = round_cache_key(plan.instance_key, blob, size)
                 replay = _round_replay(cache.get(key), batch)
                 if replay is not None:
                     delivered_by_row.update(zip(drawn, replay))
@@ -690,18 +792,17 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                     pending = []
                 else:
                     round_key = key
-                    if keyer is None:
-                        keyer = sampler.delivered_keyer(instance_key)
             for row in pending:
+                failed = positions(row)
                 if cache is not None:
-                    key = keyer(positions_by_row[row])
+                    key = plan.keyer(failed)
                     hit = cache.get(key)
                     if hit is not None:
                         delivered_by_row[row] = float(hit["delivered"])
                         cache_hits += 1
                         continue
                     key_by_row[row] = key
-                misses.append(row)
+                misses.append((row, failed))
 
             if misses:
                 chunks = [
@@ -712,20 +813,21 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                                  scenarios=len(misses),
                                  chunks=len(chunks)):
                     values = evaluator.evaluate(
-                        [[positions_by_row[row] for row in chunk]
+                        [[failed for _, failed in chunk]
                          for chunk in chunks],
                         start_index=chunks_dispatched,
                     )
                     for index, (chunk, delivered) in enumerate(
                             zip(chunks, values, strict=True)):
-                        for row, value in zip(chunk, delivered,
-                                              strict=True):
+                        for (row, _), value in zip(chunk, delivered,
+                                                   strict=True):
                             delivered_by_row[row] = value
                         fresh_solves += len(chunk)
                         if cache is not None:
                             entries = [
                                 (key_by_row.pop(row), {"delivered": value})
-                                for row, value in zip(chunk, delivered)]
+                                for (row, _), value in zip(chunk,
+                                                           delivered)]
                             if index == len(chunks) - 1:
                                 # The round's entry rides with its last
                                 # chunk: one writer wake-up for both.
@@ -746,9 +848,12 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             if width is not None and width <= config.ci_width:
                 break
 
+        array = np.asarray(degradations)
+        worst_scenario = sampler.scenario_at(
+            positions(sample_rows[int(np.argmax(array))]))
         span.set(
             total_samples=len(sample_rows),
-            distinct_scenarios=len(positions_by_row),
+            distinct_scenarios=len(source_by_row),
             cache_hits=cache_hits,
             round_hits=round_hits,
             fresh_solves=fresh_solves,
@@ -757,17 +862,15 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         )
 
     metrics().counter("availability.samples").inc(len(sample_rows))
-    metrics().counter("availability.distinct").inc(len(positions_by_row))
+    metrics().counter("availability.distinct").inc(len(source_by_row))
     metrics().counter("availability.cache_hits").inc(cache_hits)
     metrics().counter("availability.round_hits").inc(round_hits)
     metrics().counter("availability.fresh_solves").inc(fresh_solves)
 
-    array = np.asarray(degradations)
     availability = (
         float(np.mean((healthy_flow - array) / healthy_flow))
         if healthy_flow > 0 else 1.0
     )
-    worst_index = int(np.argmax(array))
     return AvailabilityEstimate(
         expected_degradation=float(array.mean()),
         availability=availability,
@@ -775,12 +878,11 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
             np.mean(array > config.degradation_threshold)
         ),
         worst_sampled=float(array.max()),
-        worst_scenario=sampler.scenario_at(
-            positions_by_row[sample_rows[worst_index]]),
+        worst_scenario=worst_scenario,
         samples=len(sample_rows),
         healthy_flow=healthy_flow,
         degradations=[float(d) for d in degradations],
-        distinct_scenarios=len(positions_by_row),
+        distinct_scenarios=len(source_by_row),
         cache_hits=cache_hits,
         fresh_solves=fresh_solves,
         chunk_fallbacks=evaluator.chunk_fallbacks,

@@ -293,34 +293,42 @@ class TestOps:
         assert status == 405
 
 
+def availability_spec(seeds):
+    """An availability sweep over ``seeds`` on a four-link WAN, and the
+    instance it runs on."""
+    from repro.network import serialization as ser
+    from repro.network.builder import from_edges
+    from repro.paths.pathset import PathSet
+
+    topology = from_edges([
+        ("a", "b", 10), ("b", "d", 10), ("a", "c", 6), ("c", "d", 6),
+    ], failure_probability=0.2)
+    demands = {("a", "d"): 12.0}
+    paths = PathSet.k_shortest(topology, [("a", "d")],
+                               num_primary=2, num_backup=0)
+    spec = {
+        "kind": "sweep_spec",
+        "name": "avail",
+        "task": "repro.failures.availability:availability_task",
+        "instance": {
+            "topology": ser.topology_to_dict(topology),
+            "demands": ser.demands_to_dict(demands),
+            "paths": ser.paths_to_dict(paths),
+        },
+        "base": {"samples": 40, "degradation_threshold": 1.0},
+        "grid": {"seed": list(seeds)},
+    }
+    return spec, (topology, demands, paths)
+
+
 class TestAvailabilityJobs:
     def test_availability_spec_runs_through_the_service(self, service):
         from repro.core.config import MonteCarloConfig
         from repro.failures.availability import (
             estimate_availability_parallel,
         )
-        from repro.network import serialization as ser
-        from repro.network.builder import from_edges
-        from repro.paths.pathset import PathSet
 
-        topology = from_edges([
-            ("a", "b", 10), ("b", "d", 10), ("a", "c", 6), ("c", "d", 6),
-        ], failure_probability=0.2)
-        demands = {("a", "d"): 12.0}
-        paths = PathSet.k_shortest(topology, [("a", "d")],
-                                   num_primary=2, num_backup=0)
-        spec = {
-            "kind": "sweep_spec",
-            "name": "avail",
-            "task": "repro.failures.availability:availability_task",
-            "instance": {
-                "topology": ser.topology_to_dict(topology),
-                "demands": ser.demands_to_dict(demands),
-                "paths": ser.paths_to_dict(paths),
-            },
-            "base": {"samples": 40, "degradation_threshold": 1.0},
-            "grid": {"seed": [11]},
-        }
+        spec, instance = availability_spec([11])
         client = ServiceClient(service.base_url)
         analysis_id = client.submit(spec)["id"]
         service.scheduler.run_until_idle()
@@ -328,13 +336,28 @@ class TestAvailabilityJobs:
         assert results["counts"]["done"] == 1
         payload = results["jobs"][0]["result"]
         direct = estimate_availability_parallel(
-            topology, demands, paths,
+            *instance,
             MonteCarloConfig(samples=40, seed=11,
                              degradation_threshold=1.0, num_workers=1))
         assert payload["availability"] == direct.availability
         assert payload["expected_degradation"] == \
             direct.expected_degradation
         assert payload["samples"] == 40
+
+    def test_metricz_counts_reused_campaign_plans(self, service):
+        from repro.failures import availability
+
+        spec, _ = availability_spec([11, 12])
+        client = ServiceClient(service.base_url)
+        availability._plans.clear()
+        before = client.metrics()["counters"].get(
+            "availability.plan_hits", 0)
+        analysis_id = client.submit(spec)["id"]
+        service.scheduler.run_until_idle()
+        assert client.result(analysis_id)["counts"]["done"] == 2
+        # In-process jobs on one instance: the second reuses the plan.
+        after = client.metrics()["counters"]["availability.plan_hits"]
+        assert after - before == 1
 
 
 class TestEviction:
