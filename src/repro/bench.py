@@ -22,7 +22,8 @@ workloads, ``run_seconds`` and every metric.
      :data:`RELATIONS`;
   4. per workload, the median over seeds of each traced metric in
      seconds stays under ``base_median * (1 + REL_TOLERANCE + slack) +
-     MAD_MULTIPLIER * max(MAD) + ABS_FLOOR_S``.
+     MAD_MULTIPLIER * max(base_MAD, new_MAD * base_median / new_median)
+     + ABS_FLOOR_S``.
 
 * ``bench check NEW`` checks parts 1 and 3 alone.  They need no BASE
   and hold on any host: the call counts they relate are fixed by the
@@ -52,7 +53,8 @@ EXIT_REGRESSION = 8
 BENCHMARK = "BENCHMARK.json"
 #: Per-layer seconds: the relative slowdown tolerated before noise,
 REL_TOLERANCE = 0.25
-#: how many median absolute deviations of the noisier side are added,
+#: how many median absolute deviations of the noisier side (NEW's
+#: scaled to BASE's median) are added,
 MAD_MULTIPLIER = 5.0
 #: and the absolute slack that keeps millisecond layers quiet.
 ABS_FLOOR_S = 0.05
@@ -206,13 +208,16 @@ def _layer_seconds(workload, before, runs, slack):
     for name in sorted(names):
         old = [_value(run, name) for run in before]
         now = [_value(run, name) for run in runs]
-        allowed = (statistics.median(old) * (1.0 + REL_TOLERANCE + slack)
-                   + MAD_MULTIPLIER * max(_mad(old), _mad(now))
-                   + ABS_FLOOR_S)
-        if statistics.median(now) > allowed:
-            regressions.append(f"{workload} {name}: "
-                               f"{statistics.median(now):.4g} s > allowed "
-                               f"{allowed:.4g} s")
+        base, new = statistics.median(old), statistics.median(now)
+        # NEW's spread counts at BASE's level: a slowdown that scales
+        # every seed scales their spread with it, and must not buy its
+        # own allowance.
+        spread = max(_mad(old), _mad(now) * base / new if new else 0.0)
+        allowed = (base * (1.0 + REL_TOLERANCE + slack)
+                   + MAD_MULTIPLIER * spread + ABS_FLOOR_S)
+        if new > allowed:
+            regressions.append(f"{workload} {name}: {new:.4g} s > "
+                               f"allowed {allowed:.4g} s")
     return len(names), regressions
 
 

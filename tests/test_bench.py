@@ -15,8 +15,9 @@ from repro.bench import EXIT_REGRESSION, RELATIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 #: The newest point: an older one need not keep relations the code has
-#: changed since (each sampled round is now one more cache entry).
-BASE = ROOT / "benchmarks" / "BENCH_7fa7d29.json"
+#: changed since (campaign plans took the per-campaign resolver
+#: compile, healthy solve and instance keys out of mc-cold and mc-warm).
+BASE = ROOT / "benchmarks" / "BENCH_a53a025.json"
 
 
 def doctored(tmp_path, doctor, name="BENCH_new.json") -> str:
@@ -71,6 +72,16 @@ class TestCorrectnessAndRelations:
         assert "solver.lp_solve.n == solver.resolve_with.n" \
             in capsys.readouterr().out
 
+    def test_per_campaign_key_breaks_a_relation(self, verb, tmp_path,
+                                                capsys):
+        def doctor(doc):
+            metrics = runs(doc, "mc-warm", 1)[0]["result"]["metrics"]
+            metrics["runner.job_key.n"]["value"] += \
+                metrics["failures.campaign.n"]["value"]
+        assert gate(verb, doctored(tmp_path, doctor)) == EXIT_REGRESSION
+        assert "runner.job_key.n == failures.sample.n" \
+            in capsys.readouterr().out
+
     def test_missing_metric_breaks_a_relation(self, verb, tmp_path):
         def doctor(doc):
             del runs(doc, "svc-open", 1)[0]["result"]["metrics"][
@@ -123,6 +134,24 @@ class TestCompare:
                 run["result"]["metrics"]["solver.lp_solve.s"]["value"] *= 4
         assert self.compare(doctored(tmp_path, doctor)) == EXIT_REGRESSION
         assert "mc-cold solver.lp_solve.s" in capsys.readouterr().out
+
+    def test_a_slowdown_gets_no_room_from_its_own_spread(self, tmp_path,
+                                                         capsys):
+        def spread(factor):
+            def doctor(doc):
+                for run, value in zip(runs(doc, "mc-cold", 1),
+                                      (1.0, 1.5, 0.8)):
+                    run["result"]["metrics"]["solver.lp_solve.s"][
+                        "value"] = value * factor
+            return doctor
+        # A wide BASE (MAD 0.2 s about 1 s): 4x every seed is 4 s, above
+        # 1.25 + 5 * 0.2 + 0.05 s, though NEW's own MAD is 0.8 s.
+        base = doctored(tmp_path, spread(1.0), name="BENCH_base.json")
+        new = doctored(tmp_path, spread(4.0))
+        assert self.compare(new, base=base) == EXIT_REGRESSION
+        assert "mc-cold solver.lp_solve.s" in capsys.readouterr().out
+        assert self.compare(doctored(tmp_path, spread(1.1)),
+                            base=base) == 0
 
     def test_slack_lets_a_cross_hardware_slowdown_pass(self, tmp_path):
         new = doctored(tmp_path, slowdown(2.5))
