@@ -755,6 +755,8 @@ def _cmd_client(args) -> int:
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     raise SystemExit(f"unknown client action {args.action!r}")
 
 

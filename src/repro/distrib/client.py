@@ -21,7 +21,8 @@ construction*:
 
 The ``distrib.claim`` / ``distrib.heartbeat`` / ``distrib.settle``
 chaos sites (:mod:`repro.resilience.faults`) hook the per-attempt send
-path here: a firing site drops the request *before it reaches the
+path (the ``chaos`` argument of ``ServiceClient._request``, the one
+retry loop): a firing site drops the request *before it reaches the
 wire*, consuming one retry attempt -- so a plan with the default
 ``attempts=(1,)`` makes the first send vanish and the retry succeed,
 deterministically, with no real network flakiness required.
@@ -32,11 +33,7 @@ fence refused you; 429 = back off), not transport failures.
 
 from __future__ import annotations
 
-import time
-
 from repro.core.config import DistribConfig
-from repro.exceptions import ServiceError
-from repro.resilience.faults import maybe_fire
 from repro.service.client import ServiceClient
 
 
@@ -64,33 +61,6 @@ class FleetClient(ServiceClient):
         #: ``(analysis_id, key)`` of claims whose last heartbeat
         #: carried ``cancel_requested``.
         self._cancelling: set[tuple[str, str]] = set()
-
-    def _fleet_request(self, site: str, key: str, method: str, path: str,
-                       body: dict | None = None) -> tuple[int, dict, dict]:
-        """One fleet exchange with per-attempt chaos and retries.
-
-        Mirrors :meth:`ServiceClient._request` but threads the attempt
-        number through the ``site`` chaos hook, so injected wire drops
-        consume retry attempts exactly like real transport failures.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if maybe_fire(site, key=key, attempt=attempt):
-                    # Dropped before the send: the coordinator never
-                    # saw this attempt.  Same marker as a transport
-                    # failure (no status) so the retry logic below is
-                    # shared.
-                    raise ServiceError(
-                        f"injected {site} drop for {key[:12]} "
-                        f"(attempt {attempt})")
-                return self._request_once(method, path, body)
-            except ServiceError as exc:
-                transient = exc.status is None
-                if not transient or attempt > self.retries:
-                    raise
-            time.sleep(self._backoff(attempt, key=f"{site}:{key}"))
 
     # -- worker registration --------------------------------------------
 
@@ -150,8 +120,9 @@ class FleetClient(ServiceClient):
             body["wait_seconds"] = min(
                 float(wait_seconds),
                 self.config.request_timeout_seconds / 2)
-        status, doc, headers = self._fleet_request(
-            "distrib.claim", self.worker_id, "POST", "/v1/claims", body)
+        status, doc, headers = self._request(
+            "POST", "/v1/claims", body, idempotent=True,
+            chaos=("distrib.claim", self.worker_id))
         self._raise_for(status, doc, headers)
         return doc.get("claim")
 
@@ -166,10 +137,10 @@ class FleetClient(ServiceClient):
             ``cancel_requested`` flag in the response is remembered for
             :meth:`cancel_requested`.
         """
-        status, doc, headers = self._fleet_request(
-            "distrib.heartbeat", key, "POST",
-            f"/v1/claims/{analysis_id}/{key}/heartbeat",
-            {"token": token, "lease_seconds": float(lease_seconds)})
+        status, doc, headers = self._request(
+            "POST", f"/v1/claims/{analysis_id}/{key}/heartbeat",
+            {"token": token, "lease_seconds": float(lease_seconds)},
+            idempotent=True, chaos=("distrib.heartbeat", key))
         if status == 409:
             return "lost"
         self._raise_for(status, doc, headers)
@@ -203,9 +174,9 @@ class FleetClient(ServiceClient):
             body["result"] = result
         if spans:
             body["spans"] = spans
-        http_status, doc, headers = self._fleet_request(
-            "distrib.settle", key, "POST",
-            f"/v1/claims/{analysis_id}/{key}/settle", body)
+        http_status, doc, headers = self._request(
+            "POST", f"/v1/claims/{analysis_id}/{key}/settle", body,
+            idempotent=True, chaos=("distrib.settle", key))
         if http_status == 409:
             return False
         self._raise_for(http_status, doc, headers)
@@ -214,9 +185,10 @@ class FleetClient(ServiceClient):
     def release(self, analysis_id: str, key: str, token: str) -> bool:
         """Hand an unstarted claim back (drain path); False if stale."""
         self._cancelling.discard((analysis_id, key))
-        status, doc, headers = self._fleet_request(
-            "distrib.claim", key, "POST",
-            f"/v1/claims/{analysis_id}/{key}/release", {"token": token})
+        status, doc, headers = self._request(
+            "POST", f"/v1/claims/{analysis_id}/{key}/release",
+            {"token": token}, idempotent=True,
+            chaos=("distrib.claim", key))
         if status == 409:
             return False
         self._raise_for(status, doc, headers)

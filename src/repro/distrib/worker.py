@@ -98,7 +98,7 @@ class WorkerAgent:
         self.runner.start(self.config.num_workers)
 
     def stop(self, drain: bool = True) -> None:
-        """Request a stop, join the slots, deregister.
+        """Request a stop, join the slots, deregister, disconnect.
 
         With ``drain`` (the default) in-flight jobs get
         ``drain_timeout_seconds`` in all to settle; without it the join
@@ -115,6 +115,8 @@ class WorkerAgent:
             # into a crash.
             logger.warning("could not deregister %s: %s",
                            self.worker_id, exc)
+        finally:
+            self.client.close()
 
     def run_until_idle(self) -> int:
         """Drain the coordinator's queue on the calling thread (tests).

@@ -100,12 +100,13 @@ def _offending_field(payload, path: str = "$") -> str | None:
     return path
 
 
-def canonical_json(payload) -> str:
+def canonical_json(payload, path: str = "$") -> str:
     """Serialize a payload to its canonical (hashable) JSON form.
 
     Sorted keys and fixed separators make the encoding independent of
     insertion order; ``allow_nan=False`` rejects values that do not
-    round-trip through JSON deterministically.
+    round-trip through JSON deterministically.  ``path`` names the
+    payload's place in a larger document, for the error message.
 
     Raises:
         CacheKeyError: The payload contains a NaN/Inf float or a
@@ -117,20 +118,37 @@ def canonical_json(payload) -> str:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False)
     except (ValueError, TypeError) as exc:
-        field = _offending_field(payload)
+        field = _offending_field(payload, path)
         raise CacheKeyError(
             f"payload cannot be content-addressed: non-canonical value "
-            f"at {field or '$'} ({exc})"
+            f"at {field or path} ({exc})"
         ) from exc
+
+
+def canonical_object(fields: dict[str, str]) -> str:
+    """The canonical JSON of a dict whose values are canonical JSON.
+
+    ``canonical_object({k: canonical_json(v) for k, v in d.items()})``
+    equals ``canonical_json(d)`` byte for byte for string keys: sorted
+    keys, the same separators.  A large value many payloads share -- a
+    sweep's instance -- is encoded once and spliced into each.
+    """
+    return "{" + ",".join(f"{canonical_json(key)}:{value}"
+                          for key, value in sorted(fields.items())) + "}"
+
+
+def canonical_key(text: str, salt: str = CODE_SALT) -> str:
+    """The :func:`job_key` of the payload whose canonical JSON is ``text``."""
+    digest = hashlib.sha256()
+    digest.update(salt.encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def job_key(payload, salt: str = CODE_SALT) -> str:
     """The content address of a job: sha256 over salt + canonical JSON."""
-    digest = hashlib.sha256()
-    digest.update(salt.encode("utf-8"))
-    digest.update(b"\0")
-    digest.update(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+    return canonical_key(canonical_json(payload), salt)
 
 
 def _footer_for(document_line: str) -> str:

@@ -19,11 +19,17 @@ key at expansion time.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import ModelingError
-from repro.runner.cache import job_key
+from repro.runner.cache import (
+    canonical_json,
+    canonical_key,
+    canonical_object,
+    job_key,
+)
 
 #: The default worker entry point, as an importable ``module:function``
 #: reference (resolved inside worker processes, so specs stay JSON).
@@ -121,24 +127,48 @@ class SweepSpec:
 
     def expand(self) -> list[Job]:
         """Expand to jobs, deduplicating identical cells by content key."""
-        jobs, seen = [], set()
-        for cell in self.parameter_cells():
-            params = {**self.base, **cell}
-            job = Job({"task": self.task, "instance": self.instance,
-                       "params": params})
-            if job.key in seen:
-                continue
-            seen.add(job.key)
-            jobs.append(job)
-        return jobs
+        return self._expand(canonical_json(self.instance, "$.instance"))
 
     @property
     def spec_hash(self) -> str:
         """Content address of the whole campaign (journal header)."""
-        return job_key({
-            "instance": self.instance, "base": self.base, "grid": self.grid,
-            "cells": self.cells, "task": self.task,
-        })
+        return self.keyed()[0]
+
+    def keyed(self) -> tuple[str, Callable[[], list[Job]]]:
+        """The spec hash and a deferred :meth:`expand`, one encoding.
+
+        The instance -- the bulk of every payload -- is encoded to
+        canonical JSON once and spliced into the spec hash and into
+        every job key, each equal to :func:`job_key` of its document
+        byte for byte.  Nothing is kept on the spec: expand before
+        editing it, and call again after.
+        """
+        instance = canonical_json(self.instance, "$.instance")
+        spec_hash = canonical_key(canonical_object({
+            "instance": instance,
+            "base": canonical_json(self.base, "$.base"),
+            "grid": canonical_json(self.grid, "$.grid"),
+            "cells": canonical_json(self.cells, "$.cells"),
+            "task": canonical_json(self.task, "$.task"),
+        }))
+        return spec_hash, lambda: self._expand(instance)
+
+    def _expand(self, instance: str) -> list[Job]:
+        """:meth:`expand` given the instance's canonical JSON."""
+        task = canonical_json(self.task, "$.task")
+        jobs, seen = [], set()
+        for cell in self.parameter_cells():
+            params = {**self.base, **cell}
+            key = canonical_key(canonical_object({
+                "task": task, "instance": instance,
+                "params": canonical_json(params, "$.params"),
+            }))
+            if key in seen:
+                continue
+            seen.add(key)
+            jobs.append(Job({"task": self.task, "instance": self.instance,
+                             "params": params}, _key=key))
+        return jobs
 
     def to_dict(self) -> dict:
         """Serialize (instance documents stay embedded)."""

@@ -56,11 +56,15 @@ restriction: instance documents must be *embedded*, not file references
 -- the server never reads paths off its own filesystem on a client's
 behalf.
 
-Request handling is deliberately boring: every request runs on its own
-thread (``ThreadingHTTPServer``), admission control happens before any
-row is written, and each request is recorded as an ``http_request``
-span on the ambient tracer plus ``service.http_*`` counters, so
-``/metricz`` and a ``serve --trace`` file tell the same story.
+Request handling is deliberately boring: every connection runs on its
+own thread (``ThreadingHTTPServer``) and is kept alive between
+requests (HTTP/1.1) until the client closes it, it idles past
+:data:`IDLE_TIMEOUT_SECONDS`, or a request's body goes unread (a
+``413``, a bad ``Content-Length``), whose bytes must not be parsed as
+the next request.  Admission control happens before any row is
+written, and each request is recorded as an ``http_request`` span on
+the ambient tracer plus ``service.http_*`` counters, so ``/metricz``
+and a ``serve --trace`` file tell the same story.
 """
 
 from __future__ import annotations
@@ -70,11 +74,12 @@ import logging
 import math
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.core.config import RunnerConfig, ServiceConfig
-from repro.exceptions import ModelingError, ServiceError
+from repro.exceptions import CacheKeyError, ModelingError, ServiceError
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runner.cache import ResultCache
@@ -97,15 +102,25 @@ MAX_CLAIM_WAIT_SECONDS = 5.0
 #: --max-body-bytes``); this constant is its default.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: How long a kept-alive connection may sit idle (or a socket read or
+#: write stall) before its handler thread closes it, so an abandoned
+#: client connection does not pin a server thread forever.  Clients
+#: reuse a connection for at most
+#: :data:`repro.service.client.MAX_IDLE_SECONDS`, well inside this.
+IDLE_TIMEOUT_SECONDS = 60.0
 
-def expand_submission(doc: dict) -> tuple[str, str, int, float | None, list]:
-    """Validate a submitted document and expand it to queue rows.
+
+def expand_submission(doc: dict) -> tuple[
+        str, str, int, float | None, Callable[[], list]]:
+    """Validate a submitted document and hash it, deferring expansion.
 
     Returns:
         ``(analysis_id, name, priority, deadline_seconds, jobs)`` with
-        ``jobs`` a list of ``(key, label, payload)`` triples in sweep
-        order and ``deadline_seconds`` the client's optional end-to-end
-        budget (``None`` when absent).
+        ``jobs()`` returning the queue rows -- ``(key, label, payload)``
+        triples in sweep order, keyed from the same encoding of the
+        instance as ``analysis_id`` -- and ``deadline_seconds`` the
+        client's optional end-to-end budget (``None`` when absent).
+        A resubmission never needs ``jobs()``.
 
     Raises:
         ServiceError: The document is not a valid self-contained sweep
@@ -139,17 +154,15 @@ def expand_submission(doc: dict) -> tuple[str, str, int, float | None, list]:
             )
     try:
         spec = SweepSpec.from_dict(doc)
-        jobs = spec.expand()
-    except ModelingError as exc:
+        spec_hash, expand = spec.keyed()
+    except (ModelingError, CacheKeyError) as exc:
         raise ServiceError(f"invalid sweep spec: {exc}", status=400) \
             from exc
-    return (
-        spec.spec_hash,
-        spec.name,
-        priority,
-        deadline_seconds,
-        [(job.key, job.label, job.payload) for job in jobs],
-    )
+
+    # The hash encoded every value the job keys encode, so expanding
+    # raises no CacheKeyError.
+    return spec_hash, spec.name, priority, deadline_seconds, lambda: [
+        (job.key, job.label, job.payload) for job in expand()]
 
 
 class AnalysisService:
@@ -183,13 +196,16 @@ class AnalysisService:
         """Stop workers (draining by default) and the eviction loop."""
         self.scheduler.stop(drain=drain)
         self.results.stop()
+        # The gauge is computed where it is read; this is the final
+        # read, for the closing snapshot of a traced ``serve``.
+        metrics().gauge("service.queue_depth").set(self.store.depth())
         self.store.close()
 
     # -- operations the HTTP handler maps onto -------------------------
 
     def submit(self, doc: dict, client: str) -> tuple[int, dict, dict]:
         """Handle one submission; returns (status, body, headers)."""
-        analysis_id, name, priority, deadline_seconds, jobs = \
+        analysis_id, name, priority, deadline_seconds, expand = \
             expand_submission(doc)
         existing = self.store.analysis_status(analysis_id)
         if existing is not None:
@@ -200,6 +216,7 @@ class AnalysisService:
                 "state": existing["state"],
                 "location": f"/v1/analyses/{analysis_id}",
             }, {}
+        jobs = expand()
         decision = self.admission.admit(client, len(jobs))
         if not decision.admitted:
             metrics().counter("service.shed").inc()
@@ -216,7 +233,6 @@ class AnalysisService:
                                      deadline_seconds=deadline_seconds)
         metrics().counter("service.submitted").inc()
         metrics().counter("service.jobs_accepted").inc(len(jobs))
-        metrics().gauge("service.queue_depth").set(self.store.depth())
         return 201, {
             "id": accepted["id"], "deduped": accepted["deduped"],
             "total_jobs": accepted["total_jobs"],
@@ -258,7 +274,7 @@ class AnalysisService:
             jobs.append({
                 "key": row["key"],
                 "label": row["label"],
-                "params": row["payload"].get("params", {}),
+                "params": row["params"],
                 "state": row["state"],
                 "status": row["status"],
                 "attempts": row["attempts"],
@@ -300,7 +316,6 @@ class AnalysisService:
             }, {}
         metrics().counter("service.jobs_cancelled").inc(
             outcome["cancelled"])
-        metrics().gauge("service.queue_depth").set(self.store.depth())
         return 200, {
             "id": analysis_id,
             "cancelled": outcome["cancelled"],
@@ -324,7 +339,6 @@ class AnalysisService:
         retried = self.store.retry_quarantined(analysis_id)
         if retried:
             metrics().counter("service.jobs.retried").inc(retried)
-            metrics().gauge("service.queue_depth").set(self.store.depth())
         return 200, {
             "id": analysis_id,
             "retried": retried,
@@ -377,7 +391,6 @@ class AnalysisService:
             metrics().counter("service.claims_empty").inc()
             return 200, {"claim": None, "wait_seconds": wait}, {}
         metrics().counter("service.claims_granted").inc()
-        metrics().gauge("service.queue_depth").set(self.store.depth())
         claimed["lease_seconds"] = float(lease)
         return 200, {"claim": claimed}, {}
 
@@ -450,7 +463,6 @@ class AnalysisService:
                 "settled": False,
             }, {}
         metrics().counter("service.remote_settles").inc()
-        metrics().gauge("service.queue_depth").set(self.store.depth())
         return 200, {"settled": True, "state": state}, {}
 
     def claim_release(self, analysis_id: str, key: str,
@@ -557,6 +569,12 @@ class _Handler(BaseHTTPRequestHandler):
     service: AnalysisService = None
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: Idle and stall limit of one connection (socket timeout).
+    timeout = IDLE_TIMEOUT_SECONDS
+    #: Headers and body go out in two sends; without TCP_NODELAY the
+    #: second waits on the client's delayed ACK on every kept-alive
+    #: exchange.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -566,6 +584,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _reply(self, status: int, body: dict, headers: dict) -> None:
         payload = json.dumps(body, sort_keys=True).encode("utf-8")
         self.send_response(status)
+        if self._unread_body:
+            # Its bytes are still in the stream and would be parsed as
+            # the next request; this connection ends with this reply.
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         for name, value in headers.items():
@@ -590,6 +612,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit", status=413)
         raw = self.rfile.read(length) if length > 0 else b""
+        self._unread_body = length < 0
         if not raw and not required:
             return {}
         if not raw:
@@ -604,6 +627,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         started = time.monotonic()
         status = 500
+        # Whether the request declares a body no route has read (yet).
+        self._unread_body = "Transfer-Encoding" in self.headers or \
+            self.headers.get("Content-Length", "0").strip() != "0"
         try:
             status, body, headers = self._route(method)
             self._reply(status, body, headers)

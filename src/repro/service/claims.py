@@ -242,7 +242,8 @@ class ClaimRunner:
             # A drain raced the claim: refund it instead of running it.
             self._release(analysis_id, key, token)
             return True
-        job = Job(payload=claimed["payload"])
+        # The store keyed the payload at submit: no need to hash it again.
+        job = Job(payload=claimed["payload"], _key=key)
 
         wall_timeout = None
         if claimed["deadline_at"] is not None:

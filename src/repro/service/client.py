@@ -1,11 +1,23 @@
 """A small stdlib client for the analysis service.
 
-Wraps ``urllib`` so CLI subcommands, tests, and the CI smoke script all
-talk to the service the same way -- including the unhappy paths: 429
-sheds surface as :class:`~repro.exceptions.AdmissionError` carrying the
-server's ``Retry-After``, other HTTP errors as
+Speaks HTTP/1.1 through :mod:`http.client`, keeping one connection per
+thread alive across requests, so CLI subcommands, tests, worker agents
+and the CI smoke script all talk to the service the same way --
+including the unhappy paths: 429 sheds surface as
+:class:`~repro.exceptions.AdmissionError` carrying the server's
+``Retry-After``, other HTTP errors as
 :class:`~repro.exceptions.ServiceError` with the server's JSON error
 message and status attached.
+
+A kept-alive connection is reused only while it is sound: it was opened
+in this process (a forked child opens its own), it has been idle for at
+most :data:`MAX_IDLE_SECONDS`, and a zero-timeout poll finds nothing to
+read on it -- an idle socket that polls readable was closed by the
+peer (a restarted server, the server's idle timeout) or holds bytes
+nobody asked for.  Otherwise it is closed and a fresh one is opened
+*before* the request is sent, so a dead connection costs a reconnect,
+not a retry.  :meth:`ServiceClient.close` (or a ``with`` block) closes
+every connection the client holds.
 
 Transient transport failures -- connection refused during a service
 restart, a reset mid-poll, a response cut off after its headers -- are
@@ -16,8 +28,9 @@ replay is safe: idempotent GETs
 because submissions are deduped by spec content hash (``spec_hash``)
 so replaying one is a no-op on the second delivery.  Other POSTs and
 DELETEs fail fast by default -- a replayed cancel or retry could act
-on state the first delivery already changed.  HTTP *error responses*
-are never retried here; they are answers, not failures.
+on state the first delivery already changed.  Nothing is ever resent
+behind the retry rules' back.  HTTP *error responses* are never
+retried here; they are answers, not failures.
 """
 
 from __future__ import annotations
@@ -25,15 +38,57 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
+import weakref
 
 from repro.exceptions import AdmissionError, ServiceError
+from repro.resilience.faults import maybe_fire
+
+#: A kept-alive connection idle longer than this is closed and reopened
+#: rather than reused, well inside the server's idle timeout
+#: (:data:`repro.service.api.IDLE_TIMEOUT_SECONDS`), so a request is not
+#: sent down a connection the server is just then timing out.
+MAX_IDLE_SECONDS = 20.0
+
+
+class _Connection:
+    """One thread's kept-alive connection; closed when the thread ends."""
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.http = conn
+        self.pid = os.getpid()
+        self.idle_since = time.monotonic()
+
+    def reusable(self) -> bool:
+        """Open, from this process, not idle too long, and not closed
+        by the peer: an idle socket that polls readable is at EOF or
+        holds bytes no request asked for (urllib3's check)."""
+        sock = self.http.sock
+        if sock is None or self.pid != os.getpid() \
+                or time.monotonic() - self.idle_since > MAX_IDLE_SECONDS:
+            return False
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return not poller.poll(0)
+
+    def close(self) -> None:
+        # In a forked child this closes only the child's copy of the
+        # descriptor; the parent's connection stays intact.
+        self.http.close()
+
+    __del__ = close
 
 
 class ServiceClient:
     """Talks to one analysis service at ``base_url``.
+
+    Each thread that makes a request keeps its own connection open for
+    the next one; :meth:`close` (or leaving a ``with`` block) closes
+    them all.
 
     Args:
         base_url: ``http://host:port`` of the service.
@@ -57,6 +112,31 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.retry_backoff_seconds = retry_backoff_seconds
         self.retry_backoff_max_seconds = retry_backoff_max_seconds
+        url = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = http.client.HTTPSConnection \
+            if url.scheme == "https" else http.client.HTTPConnection
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        self._local = threading.local()
+        self._open_lock = threading.Lock()
+        self._open: weakref.WeakSet[_Connection] = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every connection this client holds (any thread's).
+
+        The client stays usable: the next request reconnects.
+        """
+        with self._open_lock:
+            held = list(self._open)
+            self._open.clear()
+        for connection in held:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _backoff(self, attempt: int, key: str) -> float:
         """Deterministic jittered backoff before retry ``attempt``."""
@@ -68,7 +148,8 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: dict | None = None,
-                 idempotent: bool | None = None
+                 idempotent: bool | None = None,
+                 chaos: tuple[str, str] | None = None
                  ) -> tuple[int, dict, dict]:
         """One HTTP exchange, with transient retries when safe.
 
@@ -76,20 +157,47 @@ class ServiceClient:
         else is not.  Callers whose replay is safe by construction
         (``submit``: spec-hash dedup; the fleet protocol: fenced
         claims) pass ``idempotent=True`` explicitly.
+
+        ``chaos`` is an optional ``(site, key)`` fault site
+        (:mod:`repro.resilience.faults`) fired before each attempt: a
+        firing site drops that attempt before it reaches the wire, as
+        a transport failure, so injected drops consume retry attempts
+        exactly like real ones.
         """
         if idempotent is None:
             idempotent = method == "GET"
         budget = self.retries if idempotent else 0
+        backoff_key = f"{method} {path}" if chaos is None \
+            else f"{chaos[0]}:{chaos[1]}"
         attempt = 0
         while True:
             attempt += 1
             try:
+                if chaos is not None and maybe_fire(
+                        chaos[0], key=chaos[1], attempt=attempt):
+                    raise ServiceError(
+                        f"injected {chaos[0]} drop for {chaos[1][:12]} "
+                        f"(attempt {attempt})")
                 return self._request_once(method, path, body)
             except ServiceError as exc:
                 transient = exc.status is None
                 if not transient or attempt > budget:
                     raise
-            time.sleep(self._backoff(attempt, key=f"{method} {path}"))
+            time.sleep(self._backoff(attempt, key=backoff_key))
+
+    def _connection(self) -> _Connection:
+        """This thread's connection, reconnected unless reusable."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            if connection.reusable():
+                return connection
+            connection.close()
+        conn = self._connection_class(self._netloc, timeout=self.timeout)
+        conn.connect()
+        connection = self._local.connection = _Connection(conn)
+        with self._open_lock:
+            self._open.add(connection)
+        return connection
 
     def _request_once(self, method: str, path: str,
                       body: dict | None = None) -> tuple[int, dict, dict]:
@@ -98,34 +206,35 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers,
-            method=method)
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return (response.status,
-                        json.loads(response.read() or b"{}"),
-                        dict(response.headers))
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                doc = json.loads(raw or b"{}")
-            except ValueError:
-                doc = {"error": raw.decode("utf-8", "replace")}
-            return exc.code, doc, dict(exc.headers or {})
-        except urllib.error.URLError as exc:
+            connection = self._connection()
+        except OSError as exc:
             # No `status`: transport-level, the marker _request keys
             # retry decisions on.
             raise ServiceError(
-                f"cannot reach service at {self.base_url}: "
-                f"{exc.reason}") from exc
-        except (http.client.HTTPException, ConnectionError) as exc:
+                f"cannot reach service at {self.base_url}: {exc}") from exc
+        try:
+            connection.http.request(method, self._path_prefix + path,
+                                    body=data, headers=headers)
+            response = connection.http.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
             # The connection broke after the request went out (a server
-            # that died mid-response): transport-level too.
+            # that died mid-response): transport-level too, and the
+            # connection is beyond reuse.
+            connection.close()
             raise ServiceError(
                 f"lost the response from {self.base_url}: "
                 f"{exc!r}") from exc
+        connection.idle_since = time.monotonic()
+        status, response_headers = response.status, dict(response.headers)
+        if status < 400:
+            return status, json.loads(raw or b"{}"), response_headers
+        try:
+            doc = json.loads(raw or b"{}")
+        except ValueError:
+            doc = {"error": raw.decode("utf-8", "replace")}
+        return status, doc, response_headers
 
     def _raise_for(self, status: int, doc: dict, headers: dict) -> None:
         if status == 429:

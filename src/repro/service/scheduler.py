@@ -100,7 +100,6 @@ class _StoreTransport:
                                        wait_seconds)
         if claimed is not None:
             service_crash("service.crash_claimed", key=claimed["key"])
-            metrics().gauge("service.queue_depth").set(self.store.depth())
         return claimed
 
     def heartbeat(self, analysis_id: str, key: str, token: str,

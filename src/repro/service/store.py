@@ -1078,17 +1078,24 @@ class JobStore:
         }
 
     def analysis_jobs(self, analysis_id: str) -> list[dict]:
-        """Job rows of one analysis, in submission (sweep) order."""
+        """Job rows of one analysis, in submission (sweep) order.
+
+        Each row carries its payload's ``params``, cut out of the stored
+        JSON by SQLite (number literals copied verbatim), so the
+        instance -- most of every payload -- is never decoded.
+        """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT * FROM jobs WHERE analysis_id = ? ORDER BY rowid",
+                "SELECT key, label, json_extract(payload, '$.params') "
+                "AS params, state, status, error, attempts FROM jobs "
+                "WHERE analysis_id = ? ORDER BY rowid",
                 (analysis_id,)
             ).fetchall()
         return [
             {
                 "key": row["key"],
                 "label": row["label"],
-                "payload": json.loads(row["payload"]),
+                "params": json.loads(row["params"] or "{}"),
                 "state": row["state"],
                 "status": row["status"],
                 "error": row["error"],

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.exceptions import ModelingError
+from repro.exceptions import CacheKeyError, ModelingError
 from repro.network import serialization as ser
 from repro.network.demand import synthesize_monthly_demands, top_pairs
 from repro.network.generators import production_wan
 from repro.paths.pathset import PathSet
+from repro.runner.cache import job_key
 from repro.runner.jobs import DEFAULT_TASK, Job, SweepSpec
 
 TOPOLOGY_DOC = {"kind": "topology", "name": "t", "nodes": ["a", "b"],
@@ -131,3 +132,71 @@ class TestSpecFiles:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ModelingError):
             SweepSpec.from_dict({"kind": "topology"})
+
+
+def _old_spec_hash(spec: SweepSpec) -> str:
+    """The spec hash as one job_key over the whole campaign document."""
+    return job_key({"instance": spec.instance, "base": spec.base,
+                    "grid": spec.grid, "cells": spec.cells,
+                    "task": spec.task})
+
+
+class TestKeysFromOneEncoding:
+    """Job keys and the spec hash are spliced from one canonical encoding
+    of the instance; each must equal job_key of its whole document."""
+
+    def assert_keys_match(self, spec: SweepSpec) -> None:
+        spec_hash, expand = spec.keyed()
+        assert spec_hash == spec.spec_hash == _old_spec_hash(spec)
+        jobs = expand()
+        assert jobs
+        for job in jobs:
+            assert job.key == job_key(job.payload)
+        assert [job.key for job in jobs] == [job.key for job in spec.expand()]
+
+    def test_grid(self):
+        self.assert_keys_match(_spec(
+            base={"time_limit": 30.0, "mip_rel_gap": 0.0},
+            grid={"threshold": [0.1, 1e-300, -0.0, None],
+                  "max_failures": [1, None]}))
+
+    def test_cells(self):
+        self.assert_keys_match(_spec(
+            cells=[{"threshold": None, "max_failures": 2},
+                   {"threshold": 1e-4, "max_failures": None},
+                   {"threshold": 1e-4, "max_failures": None}]))
+
+    def test_non_ascii_and_escapes(self):
+        topology = dict(TOPOLOGY_DOC, name="Zürich→東京 \"wan\"\n",
+                        nodes=["ä", "b\\c"])
+        self.assert_keys_match(_spec(
+            instance={"topology": topology, "note": "\U0001F600"},
+            base={"label": "naïve"}, grid={"threshold": [1e-2]},
+            name="ünïcode"))
+
+    def test_file_references(self, tmp_path):
+        (tmp_path / "wan.json").write_text(json.dumps(TOPOLOGY_DOC))
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps({
+            "kind": "sweep_spec", "instance": {"topology": "wan.json"},
+            "grid": {"threshold": [1e-2, 1e-4]}}))
+        self.assert_keys_match(SweepSpec.from_file(str(spec_path)))
+
+    def test_edited_instance_never_yields_a_stale_key(self):
+        spec = _spec(grid={"threshold": [1e-2]})
+        before = spec.spec_hash, spec.expand()[0].key
+        spec.instance["topology"] = dict(TOPOLOGY_DOC, name="edited")
+        after_hash, expand = spec.keyed()
+        [job] = expand()
+        assert after_hash != before[0] and job.key != before[1]
+        assert after_hash == _old_spec_hash(spec)
+        assert job.key == job_key(job.payload)
+
+    def test_bad_value_is_named_by_its_path(self):
+        with pytest.raises(CacheKeyError) as err:
+            _spec(grid={"threshold": [float("nan")]}).expand()
+        assert "$.params.threshold" in str(err.value)
+        with pytest.raises(CacheKeyError) as err:
+            _spec(instance={"topology": TOPOLOGY_DOC,
+                            "demands": [1.0, float("inf")]}).spec_hash
+        assert "$.instance.demands[1]" in str(err.value)

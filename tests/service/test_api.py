@@ -76,6 +76,18 @@ class TestSubmission:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    def test_rejects_values_without_a_content_address(self, service):
+        # json.loads accepts NaN; no job key can be built from it.
+        doc = echo_spec([float("nan")])
+        status, body, _ = raw(service, "POST", "/v1/analyses", doc)
+        assert status == 400
+        assert "$.grid.value[0]" in body["error"]
+        doc = echo_spec([1])
+        doc["instance"]["weights"] = [float("inf")]
+        status, body, _ = raw(service, "POST", "/v1/analyses", doc)
+        assert status == 400
+        assert "$.instance.weights[0]" in body["error"]
+
     def test_unknown_route_404(self, service):
         status, _, _ = raw(service, "GET", "/v1/nope")
         assert status == 404
