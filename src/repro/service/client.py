@@ -113,6 +113,10 @@ class ServiceClient:
         self.retry_backoff_seconds = retry_backoff_seconds
         self.retry_backoff_max_seconds = retry_backoff_max_seconds
         url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(
+                f"service URL must look like http://host:port, got "
+                f"{base_url!r}")
         self._connection_class = http.client.HTTPSConnection \
             if url.scheme == "https" else http.client.HTTPConnection
         self._netloc = url.netloc

@@ -118,6 +118,20 @@ class TestCutOffResponse:
         assert not server.is_alive()
 
 
+class TestReadTimeout:
+    def test_silent_server_is_a_transport_error(self):
+        """Regression: a read timeout escaped as a bare TimeoutError,
+        which a claim slot's loop does not catch."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        with listener:
+            host, port = listener.getsockname()
+            client = ServiceClient(f"http://{host}:{port}", timeout=0.2,
+                                   retries=0)
+            with pytest.raises(ServiceError) as err:
+                client.health()  # accepted by the backlog, never answered
+            assert err.value.status is None
+
+
 class TestBackoff:
     def test_backoff_is_deterministic_doubling_and_capped(self):
         client = ServiceClient("http://example.invalid",
@@ -131,3 +145,11 @@ class TestBackoff:
         assert client._backoff(10, key="GET /x") == 1.0  # capped
         # Jitter keys on the path, so different endpoints desynchronize.
         assert client._backoff(1, key="GET /y") != first
+
+
+class TestBaseUrl:
+    @pytest.mark.parametrize("url", ["localhost:8080", "ftp://host:1",
+                                     "http://"])
+    def test_a_url_without_http_host_is_refused_up_front(self, url):
+        with pytest.raises(ValueError):
+            ServiceClient(url)
