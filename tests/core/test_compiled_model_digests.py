@@ -121,6 +121,8 @@ CASES = {
     "diamond-maxmin-fixed": lambda: _diamond(
         objective="maxmin", fixed_demands={("a", "d"): 7.0},
         max_failures=2),
+    "diamond-maxmin-equidepth": lambda: _diamond(
+        objective="maxmin", maxmin_binner="equidepth", max_failures=1),
     "srlg-group-probability-threshold": lambda: _srlg(
         0.05, probability_threshold=1e-3),
     "srlg-ce-max_failures": lambda: _srlg(
