@@ -25,6 +25,9 @@ A Raha result therefore never rests on the MILP encoding alone.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.core.config import RahaConfig
 from repro.core.degradation import DegradationResult, PartialResult
@@ -36,9 +39,7 @@ from repro.core.encodings import (
 from repro.exceptions import ModelingError, SolverError, VerificationError
 from repro.failures.probability import scenario_probability
 from repro.failures.scenario import (
-    FailureScenario,
-    active_paths,
-    path_is_down,
+    simulate_failed_mlu,
     simulate_failed_network,
 )
 from repro.metaopt.bilevel import StackelbergProblem
@@ -50,7 +51,7 @@ from repro.paths.pathset import PathSet
 from repro.solver.duality import InnerLP
 from repro.solver.expr import LinExpr
 from repro.solver.result import SolveResult, SolveStatus
-from repro.te.maxmin import GeometricBinnerTE
+from repro.te.maxmin import EquiDepthBinnerTE, GeometricBinnerTE
 from repro.te.mlu import MluTE
 from repro.te.total_flow import TotalFlowTE
 
@@ -147,13 +148,8 @@ class RahaAnalyzer:
         for builder in self.config.constraint_builders:
             builder(model, encoding, demand_exprs)
 
-        builder = {
-            "total_flow": self._build_total_flow,
-            "mlu": self._build_mlu,
-            "maxmin": self._build_maxmin,
-        }[self.config.objective]
         with current_tracer().span("build_healthy"):
-            context = builder(
+            context = self._build_inner(
                 game, encoding, caps, demand_exprs, demand_uppers
             )
         # The KKT embedding and the objective are part of the encoding;
@@ -296,9 +292,13 @@ class RahaAnalyzer:
                 uppers[pair] = float(hi)
         return exprs, uppers
 
-    # -- total-flow objective (Section 5) ------------------------------------------
-    def _build_total_flow(self, game, encoding, caps, demand_exprs,
-                          demand_uppers):
+    # -- inner problems (Section 5; Appendix A) ------------------------------------
+    def _build_inner(self, game, encoding, caps, demand_exprs,
+                     demand_uppers):
+        """The healthy inner problem (an aligned primal, or a constant
+        with fixed demands), the KKT-pinned failed one, and the objective."""
+        objective = _OBJECTIVES[self.config.objective]
+        te = objective.healthy_te(self, demand_uppers)
         fixed = self.config.fixed_demands is not None
         healthy_const = None
         healthy_inner = None
@@ -310,28 +310,28 @@ class RahaAnalyzer:
             # healthy value is reconstructed post hoc in _finalize.
             pass
         elif fixed:
-            healthy = TotalFlowTE(primary_only=True).solve(
+            healthy = te.solve(
                 self.topology, self.config.fixed_demands, self.paths
             )
             if not healthy.feasible:
-                raise SolverError("healthy-network TE is infeasible")
-            healthy_const = healthy.total_flow
+                raise SolverError(f"healthy-network {self.config.objective} "
+                                  f"TE is infeasible")
+            healthy_const = objective.value(healthy)
         else:
-            healthy_inner = game.aligned_inner("healthy", sense="max")
-            self._add_flow_lp(
-                healthy_inner, demand_exprs, demand_uppers,
+            healthy_inner = game.aligned_inner("healthy",
+                                               sense=objective.sense)
+            g_vars = objective.add_lp(
+                self, healthy_inner, te, demand_exprs, demand_uppers,
                 primaries_only=True, lag_capacity=None, caps=None,
-                flow_vars=g_vars,
             )
 
-        failed_inner = game.adversarial_inner("failed", sense="max")
-        f_vars: dict[tuple[Pair, int], object] = {}
-        self._add_flow_lp(
-            failed_inner, demand_exprs, demand_uppers,
+        failed_inner = game.adversarial_inner("failed", sense=objective.sense)
+        f_vars = objective.add_lp(
+            self, failed_inner, te, demand_exprs, demand_uppers,
             primaries_only=False, lag_capacity=encoding.lag_capacity,
-            caps=caps, flow_vars=f_vars,
+            caps=caps,
         )
-        if self.config.naive_failover:
+        if self.config.objective == "total_flow" and self.config.naive_failover:
             add_naive_failover_constraints(
                 game.model, self.paths, g_vars, f_vars
             )
@@ -339,18 +339,21 @@ class RahaAnalyzer:
         if self.config.minimize_performance:
             game.set_objective_terms([(failed_inner, -1.0)])
         elif fixed:
-            game.set_objective_terms([(failed_inner, -1.0)],
-                                     extra=healthy_const)
+            # healthy - failed for a max objective, failed - healthy for MLU.
+            sign = -1.0 if objective.sense == "max" else 1.0
+            game.set_objective_terms([(failed_inner, sign)],
+                                     extra=-sign * healthy_const)
         else:
             game.set_gap_objective(healthy_inner, failed_inner)
         return {
             "healthy_inner": healthy_inner,
             "failed_inner": failed_inner,
             "healthy_const": healthy_const,
+            "te": te,
         }
 
-    def _add_flow_lp(self, inner: InnerLP, demand_exprs, demand_uppers,
-                     primaries_only: bool, lag_capacity, caps, flow_vars):
+    def _add_flow_lp(self, inner: InnerLP, te, demand_exprs, demand_uppers,
+                     primaries_only: bool, lag_capacity, caps):
         """Eq. 2 with either constant or variable capacities.
 
         Dual bounds of 1 are *provably valid* here: the constraint matrix
@@ -358,40 +361,17 @@ class RahaAnalyzer:
         coefficient is 1, so at any dual vertex each positive dual solves
         a subsystem of "sum of nonnegatives = 1" equations and is <= 1.
         """
-        topo = self.topology
-        per_lag: dict[LagKey, LinExpr] = {}
-        rows = []
+        flows = _InnerFlows(self, inner, primaries_only, caps,
+                            obj_coef=1.0, dual=1.0)
         for pair in self.config.pairs:
-            dp = self.paths[pair]
-            count = dp.num_primary if primaries_only else len(dp.paths)
             d_hi = demand_uppers[pair]
-            routed = LinExpr()
-            for j in range(count):
-                var = inner.add_var(
-                    obj_coef=1.0, value_bound=d_hi,
-                    name=f"{inner.name}:f[{pair}][{j}]",
-                )
-                flow_vars[(pair, j)] = var
-                routed.add_term(var, 1.0)
-                for lag in topo.lags_on_path(dp.paths[j]):
-                    _on_lag(per_lag, lag.key, var)
-                if caps is not None:
-                    cap = caps.get((pair, j))
-                    if cap is not None:
-                        rows.append((
-                            LinExpr({var.index: 1.0}), cap, "<=", 1.0, d_hi,
-                            f"{inner.name}:gate[{pair}][{j}]",
-                        ))
-            rows.append((routed, demand_exprs[pair], "<=", 1.0, d_hi,
-                         f"{inner.name}:dem[{pair}]"))
-        for key, load in per_lag.items():
-            healthy_cap = topo.require_lag(*key).capacity
-            rhs = lag_capacity[key] if lag_capacity is not None else healthy_cap
-            rows.append((load, rhs, "<=", 1.0, healthy_cap,
-                         f"{inner.name}:cap[{key}]"))
-        inner.add_rows(rows)
+            routed = flows.add(pair, d_hi)
+            flows.rows.append((routed, demand_exprs[pair], "<=", 1.0, d_hi,
+                               f"{inner.name}:dem[{pair}]"))
+        flows.add_capacity_rows(lag_capacity)
+        inner.add_rows(flows.rows)
+        return flows.vars
 
-    # -- MLU objective (Appendix A) -------------------------------------------------
     def _mlu_bounds(self, demand_uppers):
         total_demand = sum(demand_uppers.values())
         caps = [lag.capacity for lag in self.topology.lags if lag.capacity > 0]
@@ -400,98 +380,42 @@ class RahaAnalyzer:
         dual_eq = 2.0 * (1.0 + sum(1.0 / c for c in caps))
         return u_max, dual_eq
 
-    def _build_mlu(self, game, encoding, caps, demand_exprs, demand_uppers):
-        fixed = self.config.fixed_demands is not None
-        u_max, dual_eq = self._mlu_bounds(demand_uppers)
-        healthy_const = None
-        healthy_inner = None
-
-        if fixed:
-            healthy = MluTE(primary_only=True).solve(
-                self.topology, self.config.fixed_demands, self.paths
-            )
-            if not healthy.feasible:
-                raise SolverError("healthy MLU is infeasible (disconnected?)")
-            healthy_const = healthy.objective
-        else:
-            healthy_inner = game.aligned_inner("healthy", sense="min")
-            self._add_mlu_lp(
-                healthy_inner, demand_exprs, demand_uppers,
-                primaries_only=True, caps=None, u_max=u_max, dual_eq=dual_eq,
-            )
-
-        failed_inner = game.adversarial_inner("failed", sense="min")
-        self._add_mlu_lp(
-            failed_inner, demand_exprs, demand_uppers,
-            primaries_only=False, caps=caps, u_max=u_max, dual_eq=dual_eq,
-        )
-
-        if fixed:
-            game.set_objective_terms([(failed_inner, 1.0)],
-                                     extra=-healthy_const)
-        else:
-            game.set_gap_objective(healthy_inner, failed_inner)
-        return {
-            "healthy_inner": healthy_inner,
-            "failed_inner": failed_inner,
-            "healthy_const": healthy_const,
-        }
-
-    def _add_mlu_lp(self, inner: InnerLP, demand_exprs, demand_uppers,
-                    primaries_only: bool, caps, u_max, dual_eq):
+    def _add_mlu_lp(self, inner: InnerLP, te, demand_exprs, demand_uppers,
+                    primaries_only: bool, lag_capacity, caps):
         """Appendix A's MLU model.
 
-        Capacity constraints use the *original* capacities against ``U``;
-        failures act purely through the path-extension capacities (which
-        here also kill down paths).  Dual bounds: the stationarity of
-        ``U`` forces ``sum_e C_e mu_e = 1`` whenever ``U > 0``, giving
-        ``mu_e <= 1/C_e``; equality and gating duals are bounded by the
-        generous ``dual_eq`` (post-solve verification guards the choice).
+        Capacity constraints use the *original* capacities against ``U``
+        (``lag_capacity`` is not used); failures act purely through the
+        path-extension capacities (which here also kill down paths).  Dual
+        bounds: the stationarity of ``U`` forces ``sum_e C_e mu_e = 1``
+        whenever ``U > 0``, giving ``mu_e <= 1/C_e``; equality and gating
+        duals are bounded by the generous ``dual_eq`` (post-solve
+        verification guards the choice).
         """
-        topo = self.topology
+        u_max, dual_eq = self._mlu_bounds(demand_uppers)
         u_var = inner.add_var(obj_coef=1.0, value_bound=u_max,
                               name=f"{inner.name}:U")
-        per_lag: dict[LagKey, LinExpr] = {}
-        rows = []
+        flows = _InnerFlows(self, inner, primaries_only, caps,
+                            obj_coef=0.0, dual=dual_eq)
         for pair in self.config.pairs:
-            dp = self.paths[pair]
-            count = dp.num_primary if primaries_only else len(dp.paths)
-            d_hi = demand_uppers[pair]
-            routed = LinExpr()
-            for j in range(count):
-                var = inner.add_var(
-                    obj_coef=0.0, value_bound=d_hi,
-                    name=f"{inner.name}:f[{pair}][{j}]",
-                )
-                routed.add_term(var, 1.0)
-                for lag in topo.lags_on_path(dp.paths[j]):
-                    _on_lag(per_lag, lag.key, var)
-                if caps is not None:
-                    cap = caps.get((pair, j))
-                    if cap is not None:
-                        rows.append((
-                            LinExpr({var.index: 1.0}), cap, "<=", dual_eq,
-                            d_hi, f"{inner.name}:gate[{pair}][{j}]",
-                        ))
+            routed = flows.add(pair, demand_uppers[pair])
             # MLU requires demands be fully routed.
-            rows.append((routed, demand_exprs[pair], "==", dual_eq,
-                         float("inf"), f"{inner.name}:dem[{pair}]"))
-        for key, load in per_lag.items():
-            capacity = topo.require_lag(*key).capacity
+            flows.rows.append((routed, demand_exprs[pair], "==", dual_eq,
+                               float("inf"), f"{inner.name}:dem[{pair}]"))
+        for key, load in flows.loads.items():
+            capacity = self.topology.require_lag(*key).capacity
             if capacity <= 0:
-                rows.append((load, 0.0, "<=", dual_eq, 1.0,
-                             f"{inner.name}:zero[{key}]"))
+                flows.rows.append((load, 0.0, "<=", dual_eq, 1.0,
+                                   f"{inner.name}:zero[{key}]"))
                 continue
             # load - capacity * U <= 0
             load.add_term(u_var, -float(capacity))
-            rows.append((load, 0.0, "<=", 2.0 / capacity,
-                         capacity * u_max, f"{inner.name}:util[{key}]"))
-        inner.add_rows(rows)
+            flows.rows.append((load, 0.0, "<=", 2.0 / capacity,
+                               capacity * u_max, f"{inner.name}:util[{key}]"))
+        inner.add_rows(flows.rows)
+        return flows.vars
 
-    # -- max-min objective (Appendix A) ------------------------------------------------
     def _binner(self, demand_uppers) -> GeometricBinnerTE:
-        from repro.te.maxmin import EquiDepthBinnerTE
-
         max_demand = max(demand_uppers.values()) if demand_uppers else 1.0
         binner_cls = (
             EquiDepthBinnerTE if self.config.maxmin_binner == "equidepth"
@@ -507,75 +431,18 @@ class RahaAnalyzer:
         )
         return binner
 
-    def _build_maxmin(self, game, encoding, caps, demand_exprs,
-                      demand_uppers):
-        fixed = self.config.fixed_demands is not None
-        binner = self._binner(demand_uppers)
-        healthy_const = None
-        healthy_inner = None
-
-        if fixed:
-            healthy = binner.solve(
-                self.topology, self.config.fixed_demands, self.paths
-            )
-            if not healthy.feasible:
-                raise SolverError("healthy max-min TE is infeasible")
-            healthy_const = healthy.objective
-        else:
-            healthy_inner = game.aligned_inner("healthy", sense="max")
-            self._add_binner_lp(
-                healthy_inner, binner, demand_exprs, demand_uppers,
-                primaries_only=True, lag_capacity=None, caps=None,
-            )
-
-        failed_inner = game.adversarial_inner("failed", sense="max")
-        self._add_binner_lp(
-            failed_inner, binner, demand_exprs, demand_uppers,
-            primaries_only=False, lag_capacity=encoding.lag_capacity,
-            caps=caps,
-        )
-
-        if fixed:
-            game.set_objective_terms([(failed_inner, -1.0)],
-                                     extra=healthy_const)
-        else:
-            game.set_gap_objective(healthy_inner, failed_inner)
-        return {
-            "healthy_inner": healthy_inner,
-            "failed_inner": failed_inner,
-            "healthy_const": healthy_const,
-            "binner": binner,
-        }
-
     def _add_binner_lp(self, inner: InnerLP, binner, demand_exprs,
                        demand_uppers, primaries_only, lag_capacity, caps):
         """The geometric binner LP with (possibly variable) capacities."""
-        topo = self.topology
         max_demand = max(demand_uppers.values()) if demand_uppers else 1.0
         widths = binner.bin_widths(max_demand)
         weights = [binner.alpha ** (-i) for i in range(binner.num_bins)]
-        per_lag: dict[LagKey, LinExpr] = {}
-        rows = []
+        flows = _InnerFlows(self, inner, primaries_only, caps,
+                            obj_coef=0.0, dual=2.0)
+        rows = flows.rows
         for pair in self.config.pairs:
-            dp = self.paths[pair]
-            count = dp.num_primary if primaries_only else len(dp.paths)
             d_hi = demand_uppers[pair]
-            routed = LinExpr()
-            for j in range(count):
-                var = inner.add_var(
-                    obj_coef=0.0, value_bound=d_hi,
-                    name=f"{inner.name}:f[{pair}][{j}]",
-                )
-                routed.add_term(var, 1.0)
-                for lag in topo.lags_on_path(dp.paths[j]):
-                    _on_lag(per_lag, lag.key, var)
-                if caps is not None:
-                    cap = caps.get((pair, j))
-                    if cap is not None:
-                        rows.append((
-                            LinExpr({var.index: 1.0}), cap, "<=", 2.0, d_hi,
-                            f"{inner.name}:gate[{pair}][{j}]",
-                        ))
+            routed = flows.add(pair, d_hi)
             # routed - sum of bins == 0
             split = LinExpr(routed.terms)
             for i, width in enumerate(widths):
@@ -590,12 +457,9 @@ class RahaAnalyzer:
                          f"{inner.name}:split[{pair}]"))
             rows.append((routed, demand_exprs[pair], "<=", 2.0, d_hi,
                          f"{inner.name}:dem[{pair}]"))
-        for key, load in per_lag.items():
-            healthy_cap = topo.require_lag(*key).capacity
-            rhs = lag_capacity[key] if lag_capacity is not None else healthy_cap
-            rows.append((load, rhs, "<=", 2.0, healthy_cap,
-                         f"{inner.name}:cap[{key}]"))
+        flows.add_capacity_rows(lag_capacity)
         inner.add_rows(rows)
+        return flows.vars
 
     # -- finalize -----------------------------------------------------------------
     def _finalize(self, game, encoding, demand_exprs, context,
@@ -616,7 +480,7 @@ class RahaAnalyzer:
         else:
             # minimize_performance mode: the design point was not part of
             # the optimization; reconstruct it for the found demands.
-            healthy_value = TotalFlowTE(primary_only=True).solve(
+            healthy_value = context["te"].solve(
                 self.topology, demands, self.paths
             ).total_flow
         failed_value = result.value(failed_inner.objective_expr())
@@ -668,34 +532,14 @@ class RahaAnalyzer:
                               healthy_value, failed_value, notes) -> None:
         """Cross-check the MILP against the plain TE code path."""
         tol = 1e-3 * max(1.0, abs(healthy_value), abs(failed_value))
-        objective = self.config.objective
-        if objective == "total_flow":
-            healthy = TotalFlowTE(primary_only=True).solve(
-                self.topology, demands, self.paths
-            )
-            failed = simulate_failed_network(
-                self.topology, demands, self.paths, scenario
-            )
-            sim_healthy, sim_failed = healthy.total_flow, failed.total_flow
-        elif objective == "mlu":
-            healthy = MluTE(primary_only=True).solve(
-                self.topology, demands, self.paths
-            )
-            failed = simulate_failed_mlu(
-                self.topology, demands, self.paths, scenario
-            )
-            sim_healthy, sim_failed = healthy.objective, failed.objective
-        else:  # maxmin
-            binner = context["binner"]
-            healthy = binner.solve(self.topology, demands, self.paths)
-            failed = simulate_failed_network(
-                self.topology, demands, self.paths, scenario,
-                te_factory=lambda: type(binner)(
-                    num_bins=binner.num_bins, alpha=binner.alpha,
-                    t0=binner.t0, primary_only=False,
-                ),
-            )
-            sim_healthy, sim_failed = healthy.objective, failed.objective
+        objective = _OBJECTIVES[self.config.objective]
+        te = context["te"]
+        sim_healthy = objective.value(
+            te.solve(self.topology, demands, self.paths)
+        )
+        sim_failed = objective.value(objective.simulate_failed(
+            te, self.topology, demands, self.paths, scenario
+        ))
 
         if abs(sim_healthy - healthy_value) > tol:
             raise VerificationError(
@@ -710,29 +554,91 @@ class RahaAnalyzer:
         notes.append("simulation cross-check passed")
 
 
-def _on_lag(per_lag: dict, key: LagKey, var) -> None:
-    """Add ``var`` to the load expression of LAG ``key``."""
-    load = per_lag.get(key)
-    if load is None:
-        load = per_lag[key] = LinExpr()
-    load.add_term(var, 1.0)
+class _InnerFlows:
+    """Eq. 2's path-flow scaffolding inside one inner problem.
 
-
-def simulate_failed_mlu(topology: Topology, demands, paths: PathSet,
-                        scenario: FailureScenario):
-    """Simulate the failed network under Appendix A's MLU semantics.
-
-    MLU mode measures utilization against the *original* capacities and
-    removes traffic from failed infrastructure purely through path kills:
-    a path is unusable when it is down or (for backups) not yet activated.
+    :meth:`add` gives a demand one flow column per path (its primaries,
+    or all its paths), adds each to the load of every LAG its path
+    crosses (:attr:`loads`), and gates a path that has a path-extension
+    capacity in ``caps``.  Objectives differ only in the columns'
+    objective coefficient and the gate rows' dual bound: 1.0 for total
+    flow, ``dual_eq`` for MLU, 2.0 for the binners.  :attr:`rows` collects
+    the rows for one :meth:`InnerLP.add_rows`; :attr:`vars` maps ``(pair,
+    j)`` to path ``j``'s column.
     """
-    down = scenario.down_lags(topology)
-    path_caps = {}
-    for pair, dp in paths.items():
-        allowed = set(active_paths(topology, dp, down))
-        for path in dp.paths:
-            if path not in allowed or path_is_down(topology, path, down):
-                path_caps[(pair, path)] = 0.0
-    return MluTE(primary_only=False).solve(
-        topology, demands, paths, path_caps=path_caps
-    )
+
+    def __init__(self, analyzer: RahaAnalyzer, inner: InnerLP,
+                 primaries_only: bool, caps, obj_coef: float, dual: float):
+        self.topology = analyzer.topology
+        self.paths = analyzer.paths
+        self.inner = inner
+        self.primaries_only = primaries_only
+        self.caps = caps
+        self.obj_coef = obj_coef
+        self.dual = dual
+        self.loads: dict[LagKey, LinExpr] = {}
+        self.rows: list[tuple] = []
+        self.vars: dict[tuple[Pair, int], object] = {}
+
+    def add(self, pair: Pair, d_hi: float) -> LinExpr:
+        """A demand's flow columns; returns their sum, the routed flow."""
+        inner, caps = self.inner, self.caps
+        dp = self.paths[pair]
+        count = dp.num_primary if self.primaries_only else len(dp.paths)
+        routed = LinExpr()
+        for j in range(count):
+            var = inner.add_var(
+                obj_coef=self.obj_coef, value_bound=d_hi,
+                name=f"{inner.name}:f[{pair}][{j}]",
+            )
+            self.vars[(pair, j)] = var
+            routed.add_term(var, 1.0)
+            for lag in self.topology.lags_on_path(dp.paths[j]):
+                load = self.loads.get(lag.key)
+                if load is None:
+                    load = self.loads[lag.key] = LinExpr()
+                load.add_term(var, 1.0)
+            cap = caps.get((pair, j)) if caps is not None else None
+            if cap is not None:
+                self.rows.append((
+                    LinExpr({var.index: 1.0}), cap, "<=", self.dual, d_hi,
+                    f"{inner.name}:gate[{pair}][{j}]",
+                ))
+        return routed
+
+    def add_capacity_rows(self, lag_capacity) -> None:
+        """``load_e <= c_e`` with the gate rows' dual bound: ``c_e`` is the
+        failure variables' capacity, or the healthy one without them."""
+        for key, load in self.loads.items():
+            healthy_cap = self.topology.require_lag(*key).capacity
+            rhs = lag_capacity[key] if lag_capacity is not None else healthy_cap
+            self.rows.append((load, rhs, "<=", self.dual, healthy_cap,
+                              f"{self.inner.name}:cap[{key}]"))
+
+
+class _Objective(NamedTuple):
+    """How one TE objective enters the game and the simulation check."""
+
+    sense: str  # of both inner problems
+    healthy_te: Callable  # (analyzer, demand uppers) -> TE over primaries
+    value: Callable  # TESolution -> the objective's value
+    add_lp: Callable  # analyzer method adding the objective's inner LP
+    simulate_failed: Callable  # (te, topology, demands, paths, scenario)
+
+
+_OBJECTIVES = {
+    "total_flow": _Objective(
+        "max", lambda *_: TotalFlowTE(primary_only=True),
+        attrgetter("total_flow"), RahaAnalyzer._add_flow_lp,
+        lambda te, *args: simulate_failed_network(*args)),
+    "mlu": _Objective(
+        "min", lambda *_: MluTE(primary_only=True), attrgetter("objective"),
+        RahaAnalyzer._add_mlu_lp, lambda te, *args: simulate_failed_mlu(*args)),
+    "maxmin": _Objective(
+        "max", RahaAnalyzer._binner, attrgetter("objective"),
+        RahaAnalyzer._add_binner_lp,
+        lambda binner, *args: simulate_failed_network(
+            *args, te_factory=lambda: type(binner)(
+                num_bins=binner.num_bins, alpha=binner.alpha, t0=binner.t0,
+                primary_only=False))),
+}

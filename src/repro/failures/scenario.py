@@ -13,7 +13,8 @@ into the MILP:
 
 :func:`simulate_failed_network` runs the plain TE LP under these rules --
 the ground truth that both the baselines and the bi-level verification
-compare against.
+compare against.  :func:`simulate_failed_mlu` is its MLU counterpart
+(Appendix A), which also takes down paths out of use.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.network.topology import LagKey, Topology, lag_key
 from repro.paths.ksp import Path
 from repro.paths.pathset import DemandPaths, PathSet
 from repro.te.base import TESolution
+from repro.te.mlu import MluTE
 from repro.te.total_flow import TotalFlowTE
 
 #: One failed physical link: (canonical LAG key, link index inside it).
@@ -214,18 +216,45 @@ def simulate_failed_network(
         The TE solution of the failed network.
     """
     capacities = scenario.residual_capacities(topology)
-    down = scenario.down_lags(topology)
-
-    path_caps: dict[tuple[Pair, Path], float] = {}
-    for pair, dp in paths.items():
-        allowed = set(active_paths(topology, dp, down))
-        for path in dp.paths:
-            if path not in allowed:
-                path_caps[(pair, path)] = 0.0
-
+    path_caps = _blocked_paths(topology, paths, scenario)
     solver = te_factory() if te_factory is not None else TotalFlowTE(
         primary_only=False
     )
     return solver.solve(
         topology, demands, paths, capacities=capacities, path_caps=path_caps
     )
+
+
+def simulate_failed_mlu(topology: Topology, demands: Mapping[Pair, float],
+                        paths: PathSet, scenario: FailureScenario
+                        ) -> TESolution:
+    """Simulate the failed network under Appendix A's MLU semantics.
+
+    MLU mode measures utilization against the *original* capacities and
+    removes traffic from failed infrastructure purely through path kills:
+    a path is unusable when it is down or (for backups) not yet activated.
+    """
+    path_caps = _blocked_paths(topology, paths, scenario, block_down=True)
+    return MluTE(primary_only=False).solve(
+        topology, demands, paths, path_caps=path_caps
+    )
+
+
+def _blocked_paths(topology: Topology, paths: PathSet,
+                   scenario: FailureScenario, block_down: bool = False
+                   ) -> dict[tuple[Pair, Path], float]:
+    """Zero path caps for the paths the scenario keeps idle.
+
+    A backup is blocked until enough higher-priority paths are down (Eq.
+    5); with ``block_down`` every down path is blocked too.
+    """
+    down = scenario.down_lags(topology)
+    path_caps: dict[tuple[Pair, Path], float] = {}
+    for pair, dp in paths.items():
+        allowed = set(active_paths(topology, dp, down))
+        for path in dp.paths:
+            if path not in allowed or (
+                block_down and path_is_down(topology, path, down)
+            ):
+                path_caps[(pair, path)] = 0.0
+    return path_caps

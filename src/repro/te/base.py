@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology
 from repro.paths.ksp import Path
-from repro.paths.pathset import PathSet
+from repro.paths.pathset import DemandPaths, PathSet
+from repro.solver import LinExpr, Model
+from repro.solver.model import RowBatch
 
 
 @dataclass
@@ -42,10 +44,10 @@ class TESolution:
     def max_utilization(self, topology: Topology,
                         capacities: Mapping[LagKey, float] | None = None) -> float:
         """The max link (LAG) utilization implied by the routed loads."""
+        caps = effective_capacities(topology, capacities)
         worst = 0.0
-        for lag in topology.lags:
-            cap = capacities[lag.key] if capacities else lag.capacity
-            load = self.lag_loads.get(lag.key, 0.0)
+        for key, cap in caps.items():
+            load = self.lag_loads.get(key, 0.0)
             if cap > 0:
                 worst = max(worst, load / cap)
             elif load > 1e-9:
@@ -113,3 +115,63 @@ def validate_te_inputs(topology: Topology, demands: Mapping[Pair, float],
         if pair not in paths:
             raise PathError(f"demand {pair} has no configured paths")
     paths.validate_against(topology)
+
+
+class _PathColumns:
+    """The per-path flow columns ``f_kp`` of one path-form TE LP.
+
+    :meth:`add` gives one demand a column per candidate path (its
+    primaries, or all its paths) that :func:`usable_paths_for` keeps, in
+    path order.  Each column joins the sum of every LAG its path crosses
+    (:attr:`per_lag`, ``{column: 1.0}`` per LAG), and a listed path cap
+    bounds it with a ``path_cap`` row.  :meth:`solve` solves the model and
+    reads the flows back into a :class:`TESolution`.
+    """
+
+    def __init__(self, model: Model, topology: Topology, primary_only: bool,
+                 path_caps: Mapping[tuple[Pair, Path], float] | None):
+        self.model = model
+        self.topology = topology
+        self.primary_only = primary_only
+        self.path_caps = path_caps
+        self.flow: dict[tuple[Pair, Path], object] = {}
+        self.per_lag: dict[LagKey, dict[int, float]] = defaultdict(dict)
+
+    def add(self, demand_paths: DemandPaths, rows: RowBatch) -> LinExpr:
+        """One demand's flow columns, path-cap rows to ``rows``; returns
+        the demand's routed flow, the sum of its columns."""
+        pair = demand_paths.pair
+        path_caps = self.path_caps
+        candidates = set(demand_paths.primaries if self.primary_only
+                         else demand_paths.paths)
+        routed = LinExpr()
+        for path in usable_paths_for(demand_paths, path_caps):
+            if path not in candidates:
+                continue
+            var = self.model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
+            self.flow[(pair, path)] = var
+            routed.terms[var.index] = 1.0
+            if path_caps is not None and (pair, path) in path_caps:
+                rows.add(var - path_caps[(pair, path)], "<=", "path_cap")
+            for lag in self.topology.lags_on_path(path):
+                self.per_lag[lag.key][var.index] = 1.0
+        return routed
+
+    def solve(self, demands: Mapping[Pair, float]) -> TESolution:
+        """Solve the model; flows per path, per pair (0.0 if unroutable)."""
+        result = self.model.solve()
+        if not result.status.ok or result.x is None:
+            return TESolution.infeasible()
+        path_flows = {key: result.value(var) for key, var in self.flow.items()}
+        pair_flows: dict[Pair, float] = defaultdict(float)
+        for (pair, _), value in path_flows.items():
+            pair_flows[pair] += value
+        for pair in demands:
+            pair_flows.setdefault(pair, 0.0)
+        return TESolution(
+            objective=result.objective,
+            path_flows=path_flows,
+            pair_flows=dict(pair_flows),
+            lag_loads=lag_loads_from_path_flows(self.topology, path_flows),
+            solve_seconds=result.solve_seconds,
+        )

@@ -19,7 +19,6 @@ Soroush (namely their Geometric or Equi-depth binner algorithms)".
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 
 from repro.exceptions import ModelingError
@@ -27,12 +26,12 @@ from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology
 from repro.paths.ksp import Path
 from repro.paths.pathset import PathSet
-from repro.solver import Model, quicksum
+from repro.solver import LinExpr, Model, quicksum
+from repro.solver.model import RowBatch
 from repro.te.base import (
     TESolution,
+    _PathColumns,
     effective_capacities,
-    lag_loads_from_path_flows,
-    usable_paths_for,
     validate_te_inputs,
 )
 
@@ -90,25 +89,12 @@ class GeometricBinnerTE:
         weights = [self.alpha ** (-i) for i in range(self.num_bins)]
 
         model = Model("geometric-binner-te")
-        flow: dict[tuple[Pair, Path], object] = {}
-        per_lag: dict[LagKey, list] = defaultdict(list)
+        columns = _PathColumns(model, topology, self.primary_only, path_caps)
+        rows = RowBatch()
         objective_terms = []
         for pair, volume in demands.items():
-            dp = paths[pair]
-            candidates = dp.primaries if self.primary_only else dp.paths
-            usable = [
-                p for p in usable_paths_for(dp, path_caps) if p in set(candidates)
-            ]
-            terms = []
-            for path in usable:
-                var = model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
-                flow[(pair, path)] = var
-                terms.append(var)
-                if path_caps is not None and (pair, path) in path_caps:
-                    model.add_constr(var <= path_caps[(pair, path)])
-                for lag in topology.lags_on_path(path):
-                    per_lag[lag.key].append(var)
-            if not terms:
+            routed = columns.add(paths[pair], rows)
+            if not routed.terms:
                 continue
             # Split the pair's allocation into bins.
             bins = []
@@ -116,31 +102,14 @@ class GeometricBinnerTE:
                 b = model.add_var(ub=width, name=f"bin[{pair}][{i}]")
                 bins.append(b)
                 objective_terms.append(weights[i] * b)
-            model.add_constr(quicksum(terms) == quicksum(bins),
-                             name=f"split[{pair}]")
-            model.add_constr(quicksum(terms) <= volume, name=f"dem[{pair}]")
-        for key, vars_on_lag in per_lag.items():
-            model.add_constr(quicksum(vars_on_lag) <= caps[key],
-                             name=f"cap[{key}]")
+            rows.add(routed - quicksum(bins), "==", f"split[{pair}]")
+            rows.add(routed - volume, "<=", f"dem[{pair}]")
+        for key, cols_on_lag in columns.per_lag.items():
+            rows.add(LinExpr(cols_on_lag) - caps[key], "<=", f"cap[{key}]")
+        rows.post(model)
 
         model.set_objective(quicksum(objective_terms), sense="max")
-        result = model.solve()
-        if not result.status.ok or result.x is None:
-            return TESolution.infeasible()
-
-        path_flows = {key: result.value(var) for key, var in flow.items()}
-        pair_flows: dict[Pair, float] = defaultdict(float)
-        for (pair, _), value in path_flows.items():
-            pair_flows[pair] += value
-        for pair in demands:
-            pair_flows.setdefault(pair, 0.0)
-        return TESolution(
-            objective=result.objective,
-            path_flows=path_flows,
-            pair_flows=dict(pair_flows),
-            lag_loads=lag_loads_from_path_flows(topology, path_flows),
-            solve_seconds=result.solve_seconds,
-        )
+        return columns.solve(demands)
 
 
 class EquiDepthBinnerTE(GeometricBinnerTE):
@@ -202,28 +171,19 @@ def max_min_water_filling(
             break
         model = Model("water-fill")
         t = model.add_var(name="t")
-        flow: dict[tuple[Pair, Path], object] = {}
-        per_lag: dict[LagKey, list] = defaultdict(list)
-        totals: dict[Pair, object] = {}
+        columns = _PathColumns(model, topology, primary_only, None)
+        rows = RowBatch()
+        totals: dict[Pair, LinExpr] = {}
         for pair in demands:
-            dp = paths[pair]
-            candidates = dp.primaries if primary_only else dp.paths
-            terms = []
-            for path in candidates:
-                var = model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
-                flow[(pair, path)] = var
-                terms.append(var)
-                for lag in topology.lags_on_path(path):
-                    per_lag[lag.key].append(var)
-            total = quicksum(terms)
-            totals[pair] = total
+            total = totals[pair] = columns.add(paths[pair], rows)
             if pair in frozen:
-                model.add_constr(total == frozen[pair])
+                rows.add(total - frozen[pair], "==")
             else:
-                model.add_constr(total <= demands[pair])
-                model.add_constr(total >= t)
-        for key, vars_on_lag in per_lag.items():
-            model.add_constr(quicksum(vars_on_lag) <= caps[key])
+                rows.add(total - demands[pair], "<=")
+                rows.add(total - t, ">=")
+        for key, cols_on_lag in columns.per_lag.items():
+            rows.add(LinExpr(cols_on_lag) - caps[key], "<=")
+        rows.post(model)
         model.set_objective(t, sense="max")
         result = model.solve()
         if not result.status.ok or result.x is None:

@@ -10,19 +10,18 @@ connected-enforced constraints in MLU mode.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology
 from repro.paths.ksp import Path
 from repro.paths.pathset import PathSet
-from repro.solver import Model, quicksum
+from repro.solver import LinExpr, Model
+from repro.solver.model import RowBatch
 from repro.te.base import (
     TESolution,
+    _PathColumns,
     effective_capacities,
-    lag_loads_from_path_flows,
-    usable_paths_for,
     validate_te_inputs,
 )
 
@@ -59,55 +58,26 @@ class MluTE:
 
         model = Model("mlu-te")
         utilization = model.add_var(name="U")
+        columns = _PathColumns(model, topology, self.primary_only, path_caps)
+        rows = RowBatch()
         if self.enforce_capacity:
-            model.add_constr(utilization <= 1.0)
-        flow: dict[tuple[Pair, Path], object] = {}
-        per_lag: dict[LagKey, list] = defaultdict(list)
+            rows.add(utilization - 1.0, "<=")
         for pair, volume in demands.items():
-            dp = paths[pair]
-            candidates = dp.primaries if self.primary_only else dp.paths
-            usable = [
-                p for p in usable_paths_for(dp, path_caps) if p in set(candidates)
-            ]
-            terms = []
-            for path in usable:
-                var = model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
-                flow[(pair, path)] = var
-                terms.append(var)
-                if path_caps is not None and (pair, path) in path_caps:
-                    model.add_constr(var <= path_caps[(pair, path)])
-                for lag in topology.lags_on_path(path):
-                    per_lag[lag.key].append(var)
-            if not terms and volume > 0:
+            routed = columns.add(paths[pair], rows)
+            if not routed.terms and volume > 0:
                 return TESolution.infeasible()
-            if terms:
+            if routed.terms:
                 # MLU requires the demand be fully met.
-                model.add_constr(quicksum(terms) == volume, name=f"dem[{pair}]")
-        for key, vars_on_lag in per_lag.items():
+                rows.add(routed - volume, "==", f"dem[{pair}]")
+        for key, cols_on_lag in columns.per_lag.items():
             cap = caps[key]
             if cap <= 0:
                 # A zero-capacity LAG cannot carry anything at finite U.
-                model.add_constr(quicksum(vars_on_lag) <= 0.0)
+                rows.add(LinExpr(cols_on_lag), "<=")
                 continue
-            model.add_constr(
-                quicksum(vars_on_lag) <= cap * utilization, name=f"util[{key}]"
-            )
+            rows.add(LinExpr(cols_on_lag) - cap * utilization, "<=",
+                     f"util[{key}]")
+        rows.post(model)
 
         model.set_objective(utilization, sense="min")
-        result = model.solve()
-        if not result.status.ok or result.x is None:
-            return TESolution.infeasible()
-
-        path_flows = {key: result.value(var) for key, var in flow.items()}
-        pair_flows: dict[Pair, float] = defaultdict(float)
-        for (pair, _), value in path_flows.items():
-            pair_flows[pair] += value
-        for pair in demands:
-            pair_flows.setdefault(pair, 0.0)
-        return TESolution(
-            objective=result.objective,
-            path_flows=path_flows,
-            pair_flows=dict(pair_flows),
-            lag_loads=lag_loads_from_path_flows(topology, path_flows),
-            solve_seconds=result.solve_seconds,
-        )
+        return columns.solve(demands)

@@ -22,7 +22,6 @@ per-term Python loops.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 from itertools import repeat
 
@@ -34,9 +33,8 @@ from repro.solver import LinExpr, Model
 from repro.solver.model import RowBatch
 from repro.te.base import (
     TESolution,
+    _PathColumns,
     effective_capacities,
-    lag_loads_from_path_flows,
-    usable_paths_for,
     validate_te_inputs,
 )
 
@@ -79,42 +77,25 @@ class TotalFlowTE:
         caps = effective_capacities(topology, capacities)
 
         model = Model("total-flow-te")
-        flow: dict[tuple[Pair, Path], object] = {}
-        per_lag: dict[LagKey, list[int]] = defaultdict(list)
-        # Per-family COO accumulators, registered together in one batch.
-        cap_cols: list[int] = []
-        cap_rhs: list[float] = []
+        columns = _PathColumns(model, topology, self.primary_only, path_caps)
+        # Rows by family, registered together in one batch: the path caps
+        # (recorded as the columns are made), demands, LAG capacities.
+        rows = RowBatch()
         dem_cols: list[int] = []
         dem_indptr: list[int] = [0]
         dem_rhs: list[float] = []
         for pair, volume in demands.items():
-            dp = paths[pair]
-            candidates = set(dp.primaries if self.primary_only else dp.paths)
-            usable = [
-                p for p in usable_paths_for(dp, path_caps) if p in candidates
-            ]
-            for path in usable:
-                var = model.add_var(name=f"f[{pair}][{'-'.join(path)}]")
-                flow[(pair, path)] = var
-                dem_cols.append(var.index)
-                if path_caps is not None and (pair, path) in path_caps:
-                    cap_cols.append(var.index)
-                    cap_rhs.append(path_caps[(pair, path)])
-                for lag in topology.lags_on_path(path):
-                    per_lag[lag.key].append(var.index)
+            dem_cols.extend(columns.add(paths[pair], rows).terms)
             if len(dem_cols) > dem_indptr[-1]:
                 dem_indptr.append(len(dem_cols))
                 dem_rhs.append(volume)
         lag_cols: list[int] = []
         lag_indptr: list[int] = [0]
         lag_rhs: list[float] = []
-        for key, cols_on_lag in per_lag.items():
+        for key, cols_on_lag in columns.per_lag.items():
             lag_cols.extend(cols_on_lag)
             lag_indptr.append(len(lag_cols))
             lag_rhs.append(caps[key])
-        rows = RowBatch()
-        rows.extend(range(len(cap_cols) + 1), cap_cols,
-                    repeat(1.0, len(cap_cols)), "<=", cap_rhs, "path_cap")
         rows.extend(dem_indptr, dem_cols, repeat(1.0, len(dem_cols)), "<=",
                     dem_rhs, "dem")
         rows.extend(lag_indptr, lag_cols, repeat(1.0, len(lag_cols)), "<=",
@@ -122,25 +103,7 @@ class TotalFlowTE:
         rows.post(model)
 
         model.set_objective(
-            LinExpr({v.index: 1.0 for v in flow.values()}), sense="max"
+            LinExpr({v.index: 1.0 for v in columns.flow.values()}),
+            sense="max",
         )
-        result = model.solve()
-        if not result.status.ok or result.x is None:
-            return TESolution.infeasible()
-
-        path_flows = {
-            key: result.value(var) for key, var in flow.items()
-        }
-        pair_flows: dict[Pair, float] = defaultdict(float)
-        for (pair, _), value in path_flows.items():
-            pair_flows[pair] += value
-        # Pairs with no usable path still routed zero.
-        for pair in demands:
-            pair_flows.setdefault(pair, 0.0)
-        return TESolution(
-            objective=result.objective,
-            path_flows=path_flows,
-            pair_flows=dict(pair_flows),
-            lag_loads=lag_loads_from_path_flows(topology, path_flows),
-            solve_seconds=result.solve_seconds,
-        )
+        return columns.solve(demands)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import PathSet, RahaAnalyzer, RahaConfig
-from repro.core.analyzer import simulate_failed_mlu
+from repro.failures.scenario import simulate_failed_mlu
 from repro.network.builder import from_edges
 
 

@@ -149,14 +149,19 @@ class TestRetirement:
         scheduler = one_slot(store, tmp_path)
         try:
             before = pid_of(scheduler, store, 1)
+            # The job sleeps long enough that a busy host still polls the
+            # cancel before the job could finish and settle done.
             analysis_id, _ = submitted(
-                store, sleep_spec(1.0, [1], name="cancelled"))
+                store, sleep_spec(5.0, [1], name="cancelled"))
             wait_for(lambda: store.counts()["running"] == 1)
             store.cancel_analysis(analysis_id)
+            cancelled_at = time.monotonic()
             assert settled(store, analysis_id)["state"] == "cancelled"
+            waited = time.monotonic() - cancelled_at
             after = pid_of(scheduler, store, 2)
         finally:
             scheduler.stop()
+        assert waited < 2.0
         assert after != before
 
 

@@ -101,3 +101,16 @@ class TestTotalFlow:
         paths = PathSet.k_shortest(diamond, [("a", "d")], 2, 0)
         sol = TotalFlowTE().solve(diamond, {("a", "d"): 100.0}, paths)
         assert sol.max_utilization(diamond) == pytest.approx(1.0)
+
+    def test_max_utilization_reads_partial_capacity_overrides(self, diamond):
+        # The same partial mapping solve() accepts: LAGs without an
+        # override keep their own capacity.
+        paths = PathSet.k_shortest(diamond, [("a", "d")], 2, 0)
+        capacities = {("a", "b"): 4.0}
+        sol = TotalFlowTE().solve(diamond, {("a", "d"): 100.0}, paths,
+                                  capacities=capacities)
+        assert sol.total_flow == pytest.approx(14.0)
+        assert sol.max_utilization(diamond, capacities) == pytest.approx(1.0)
+        # Halving the upper route's override doubles its utilization.
+        assert sol.max_utilization(
+            diamond, {("a", "b"): 2.0}) == pytest.approx(2.0)
