@@ -24,6 +24,7 @@ A Raha result therefore never rests on the MILP encoding alone.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections.abc import Callable
 from operator import attrgetter
@@ -425,17 +426,19 @@ class RahaAnalyzer:
             num_bins=self.config.maxmin_bins,
             alpha=self.config.maxmin_alpha,
         )
-        # Pin t0 so the MILP and the verification binner agree exactly.
+        # Pin the bins to the demand uppers, so the MILP's inner LPs and
+        # the verification solves (whose demands are the ones found) use
+        # the same widths.
         binner.t0 = max(max_demand, 1e-9) / (
             binner.alpha ** (binner.num_bins - 1)
         )
+        binner.widths = binner.bin_widths(max_demand)
         return binner
 
     def _add_binner_lp(self, inner: InnerLP, binner, demand_exprs,
                        demand_uppers, primaries_only, lag_capacity, caps):
         """The geometric binner LP with (possibly variable) capacities."""
-        max_demand = max(demand_uppers.values()) if demand_uppers else 1.0
-        widths = binner.bin_widths(max_demand)
+        widths = binner.widths
         weights = [binner.alpha ** (-i) for i in range(binner.num_bins)]
         flows = _InnerFlows(self, inner, primaries_only, caps,
                             obj_coef=0.0, dual=2.0)
@@ -616,6 +619,13 @@ class _InnerFlows:
                               f"{self.inner.name}:cap[{key}]"))
 
 
+def _over_all_paths(binner: GeometricBinnerTE) -> GeometricBinnerTE:
+    """``binner``, pinned bins and all, over backup paths too."""
+    failed = copy.copy(binner)
+    failed.primary_only = False
+    return failed
+
+
 class _Objective(NamedTuple):
     """How one TE objective enters the game and the simulation check."""
 
@@ -638,7 +648,5 @@ _OBJECTIVES = {
         "max", RahaAnalyzer._binner, attrgetter("objective"),
         RahaAnalyzer._add_binner_lp,
         lambda binner, *args: simulate_failed_network(
-            *args, te_factory=lambda: type(binner)(
-                num_bins=binner.num_bins, alpha=binner.alpha, t0=binner.t0,
-                primary_only=False))),
+            *args, te_factory=lambda: _over_all_paths(binner))),
 }

@@ -57,9 +57,16 @@ class GeometricBinnerTE:
         self.alpha = alpha
         self.t0 = t0
         self.primary_only = primary_only
+        #: Pinned bin widths, which :meth:`bin_widths` returns whatever
+        #: the demands; the analyzer pins them so that its MILP and its
+        #: verification solve one LP.
+        self.widths: list[float] | None = None
 
     def bin_widths(self, max_demand: float) -> list[float]:
-        """Widths of each geometric bin covering ``[0, max_demand]``."""
+        """Widths of each geometric bin covering ``[0, max_demand]`` (the
+        pinned :attr:`widths`, when set)."""
+        if self.widths is not None:
+            return self.widths
         t0 = self.t0
         if t0 is None:
             t0 = max(max_demand, 1e-9) / (self.alpha ** (self.num_bins - 1))
@@ -124,7 +131,10 @@ class EquiDepthBinnerTE(GeometricBinnerTE):
     """
 
     def bin_widths(self, max_demand: float) -> list[float]:
-        """Equal widths covering ``[0, max_demand]``."""
+        """Equal widths covering ``[0, max_demand]`` (the pinned
+        :attr:`widths`, when set)."""
+        if self.widths is not None:
+            return self.widths
         if self.t0 is not None:
             # Honor an explicitly pinned first boundary for verification
             # consistency, spacing the rest evenly above it.

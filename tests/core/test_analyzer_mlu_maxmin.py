@@ -127,6 +127,33 @@ class TestEquiDepthMode:
         assert raha.verified
         assert raha.degradation >= 0
 
+    def test_variable_demands_verify(self):
+        # The MILP bins take max_demand from the demand uppers; the
+        # verification's healthy solve must use those bins, not ones
+        # spread over the demands the MILP found ("MILP 410.616 vs
+        # simulated 355.019" when they differed).
+        from repro.analysis.experiments import bench_wan
+
+        net = bench_wan(num_regions=2, nodes_per_region=3, num_pairs=3,
+                        demand_to_capacity=1.4, seed=1)
+        paths = net.paths(num_primary=1, num_backup=1)
+        config = RahaConfig(
+            demand_bounds={p: (0.3 * v, v)
+                           for p, v in net.peak_demands.items()},
+            objective="maxmin", maxmin_binner="equidepth", max_failures=1,
+        )
+        raha = RahaAnalyzer(net.topology, paths, config).analyze()
+        assert raha.verified
+        assert raha.degradation > 0
+
+    def test_pinned_widths_ignore_demands(self):
+        from repro.te.maxmin import EquiDepthBinnerTE
+
+        binner = EquiDepthBinnerTE(num_bins=3)
+        binner.widths = [1.0, 2.0, 2.0]
+        assert binner.bin_widths(100.0) == [1.0, 2.0, 2.0]
+        assert EquiDepthBinnerTE(num_bins=3).bin_widths(6.0) == [2.0] * 3
+
     def test_unknown_binner_rejected(self):
         from repro import ModelingError
 
