@@ -164,16 +164,13 @@ def max_min_water_filling(
     the geometric binner's approximation).
 
     Returns:
-        The max-min allocation per pair.
+        The max-min allocation per pair, in demand order.
     """
     validate_te_inputs(topology, demands, paths)
     caps = effective_capacities(topology, capacities)
-    frozen: dict[Pair, float] = {}
-    active = {p for p, v in demands.items() if v > 0}
-    for pair, volume in demands.items():
-        if volume <= 0:
-            frozen[pair] = 0.0
-            active.discard(pair)
+    frozen = {pair: 0.0 for pair, volume in demands.items() if volume <= 0}
+    # Pairs still growing, in demand order: the order of the probes below.
+    active = [pair for pair in demands if pair not in frozen]
     rounds = max_rounds if max_rounds is not None else len(demands) + 1
 
     for _ in range(rounds):
@@ -197,36 +194,23 @@ def max_min_water_filling(
         model.set_objective(t, sense="max")
         result = model.solve()
         if not result.status.ok or result.x is None:
-            # No feasible floor (e.g. a disconnected active pair): pin
-            # the unroutable pairs at zero and continue with the rest.
-            for pair in list(active):
-                dp = paths[pair]
-                candidates = dp.primaries if primary_only else dp.paths
-                if not candidates:
-                    frozen[pair] = 0.0
-                    active.discard(pair)
-            if active:
-                for pair in list(active):
-                    frozen[pair] = 0.0
-                    active.discard(pair)
+            # No feasible floor (e.g. a disconnected active pair): every
+            # pair still active gets zero.
             break
         floor = result.objective
 
         # Freeze demands that cannot exceed the floor: re-solve maximizing
         # each active demand individually with the floor held for others.
-        newly_frozen = []
-        for pair in list(active):
+        newly_frozen = {}
+        for pair in active:
             model.set_objective(totals[pair], sense="max")
             probe = model.solve()
             best = probe.objective if probe.status.ok else floor
             if best <= floor + 1e-7 or floor >= demands[pair] - 1e-9:
-                newly_frozen.append((pair, min(floor, demands[pair])))
+                newly_frozen[pair] = min(floor, demands[pair])
         if not newly_frozen:
             # Guard against stalling: freeze everything at the floor.
-            newly_frozen = [(p, min(floor, demands[p])) for p in active]
-        for pair, value in newly_frozen:
-            frozen[pair] = value
-            active.discard(pair)
-    for pair in demands:
-        frozen.setdefault(pair, 0.0)
-    return frozen
+            newly_frozen = {p: min(floor, demands[p]) for p in active}
+        frozen.update(newly_frozen)
+        active = [pair for pair in active if pair not in newly_frozen]
+    return {pair: frozen.get(pair, 0.0) for pair in demands}

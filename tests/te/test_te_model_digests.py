@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -135,10 +136,6 @@ def te_digests(case: str) -> list[str]:
         solution = CASES[case]()
     finally:
         Model._compile_fresh = original
-    if isinstance(solution, dict):
-        # Water filling probes its active pairs in set order, which moves
-        # with the string hash seed; only the set of models is fixed.
-        seen.sort()
     return seen + [_solution_digest(solution)]
 
 
@@ -150,6 +147,24 @@ def _golden() -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_te_models_match_golden_digests(case):
     assert te_digests(case) == _golden()[case]
+
+
+def test_water_filling_ignores_the_hash_seed():
+    """Water filling solves the same models in the same order whatever
+    the string hash seed of the process."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    code = ("import json; from tests.te.test_te_model_digests import "
+            "te_digests; print(json.dumps(te_digests('water_filling')))")
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1] == _golden()["water_filling"]
 
 
 def test_golden_file_covers_every_case():
