@@ -83,11 +83,10 @@ def _edge_mcf_batch(topology, demands):
         routed[pair] = f_k
         outgoing = defaultdict(list)
         incoming = defaultdict(list)
-        base = model.num_vars
-        model.add_vars_batch(2 * len(lags), name=f"e[{pair}]")
+        stem = f"e[{pair}]"
         for j, lag in enumerate(lags):
-            fwd = base + 2 * j
-            bwd = fwd + 1
+            fwd = model.add_var(name=f"{stem}[{2 * j}]").index
+            bwd = model.add_var(name=f"{stem}[{2 * j + 1}]").index
             per_lag[lag.key] += [fwd, bwd]
             outgoing[lag.u].append(fwd)
             incoming[lag.v].append(fwd)
@@ -164,12 +163,12 @@ def test_batch_compile_speedup(benchmark):
     scalar_s, scalar_m, batch_s, batch_m = run_once(benchmark, run)
 
     # Identical formulations: same matrices, bit-identical optima.
-    sc = scalar_m._compile()
-    ba = batch_m._compile()
-    np.testing.assert_array_equal(sc[0], ba[0])
-    assert (sc[1] != ba[1]).nnz == 0
-    for i in (2, 3, 4, 5):
-        np.testing.assert_array_equal(sc[i], ba[i])
+    sc, _ = scalar_m._ensure_compiled()
+    ba, _ = batch_m._ensure_compiled()
+    np.testing.assert_array_equal(sc.c, ba.c)
+    assert (sc.a != ba.a).nnz == 0
+    for side in ("row_lb", "row_ub", "var_lb", "var_ub", "integrality"):
+        np.testing.assert_array_equal(getattr(sc, side), getattr(ba, side))
     r_scalar = scalar_m.solve()
     r_batch = batch_m.solve()
     assert r_batch.objective == r_scalar.objective

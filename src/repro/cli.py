@@ -569,11 +569,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _service_config_from_args(args):
-    from repro.core.config import (
-        DistribConfig,
-        ServiceConfig,
-        SupervisionConfig,
-    )
+    from repro.core.config import ServiceConfig, SupervisionConfig
 
     return ServiceConfig(
         host=args.host,
@@ -592,9 +588,7 @@ def _service_config_from_args(args):
             reap_interval_seconds=args.reap_interval,
             max_job_attempts=args.max_attempts,
         ),
-        distrib=DistribConfig(
-            max_claims_per_second=args.max_claims_per_second,
-        ),
+        max_claims_per_second=args.max_claims_per_second,
     )
 
 

@@ -312,11 +312,9 @@ class SupervisionConfig:
 
 @dataclass
 class DistribConfig:
-    """Knobs for the distributed worker fleet (:mod:`repro.distrib`).
-
-    One config covers both sides of the claim protocol: the worker
-    agent (``python -m repro worker``) pulling jobs over HTTP, and the
-    coordinator's claim-rate shedding.
+    """Knobs for one worker agent of the distributed fleet
+    (:mod:`repro.distrib`): ``python -m repro worker`` pulling jobs from
+    the coordinator over HTTP.
 
     Attributes:
         num_workers: Worker slots (concurrent claims) in one agent.
@@ -341,11 +339,6 @@ class DistribConfig:
             ``2**attempt`` with deterministic per-key jitter and capped
             at ``retry_backoff_max_seconds``.
         retry_backoff_max_seconds: Backoff ceiling.
-        max_claims_per_second: Coordinator-side claim-rate shed: a
-            token bucket refilled at this rate (burst of one second's
-            worth) 429s claim requests beyond it, keeping an
-            over-scaled fleet from stampeding the store.  ``None``
-            disables shedding.
     """
 
     num_workers: int = 2
@@ -355,7 +348,6 @@ class DistribConfig:
     retries: int = 3
     retry_backoff_seconds: float = 0.25
     retry_backoff_max_seconds: float = 5.0
-    max_claims_per_second: float | None = None
 
     def __post_init__(self):
         if self.num_workers < 1:
@@ -391,12 +383,6 @@ class DistribConfig:
                 f"retry_backoff_max_seconds must be >= "
                 f"retry_backoff_seconds, got "
                 f"{self.retry_backoff_max_seconds}"
-            )
-        if self.max_claims_per_second is not None \
-                and self.max_claims_per_second <= 0:
-            raise ModelingError(
-                f"max_claims_per_second must be > 0, got "
-                f"{self.max_claims_per_second}"
             )
 
 
@@ -457,9 +443,11 @@ class ServiceConfig:
         supervision: The self-healing policy: job leases + heartbeats,
             the reaper that requeues expired leases, and poison-job
             quarantine (:class:`SupervisionConfig`).
-        distrib: The distributed-fleet policy (remote claim protocol
-            knobs; the coordinator consults
-            ``distrib.max_claims_per_second`` for claim shedding).
+        max_claims_per_second: Claim-rate shed for the remote fleet: a
+            token bucket refilled at this rate (burst of one second's
+            worth) 429s claim requests beyond it, keeping an
+            over-scaled fleet from stampeding the store.  ``None``
+            disables shedding.
     """
 
     host: str = "127.0.0.1"
@@ -478,12 +466,18 @@ class ServiceConfig:
     max_body_bytes: int = 64 * 1024 * 1024
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig)
-    distrib: DistribConfig = field(default_factory=DistribConfig)
+    max_claims_per_second: float | None = None
 
     def __post_init__(self):
         if self.num_workers < 1:
             raise ModelingError(
                 f"num_workers must be >= 1, got {self.num_workers}"
+            )
+        if self.max_claims_per_second is not None \
+                and self.max_claims_per_second <= 0:
+            raise ModelingError(
+                f"max_claims_per_second must be > 0, got "
+                f"{self.max_claims_per_second}"
             )
         if self.max_body_bytes < 1:
             raise ModelingError(

@@ -24,7 +24,7 @@ the probability product), and always when their LAG is listed in
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import log
 
@@ -453,23 +453,3 @@ def add_naive_failover_constraints(
                 rows.add(LinExpr({f_var.index: 1.0, source.index: -1.0}),
                          "<=", f"naive[{pair}][{j}]")
     rows.post(model)
-
-
-def failable_link_keys(
-    topology: Topology,
-    config: RahaConfig,
-    non_failable_lags: Iterable[LagKey] = (),
-) -> list[tuple[LagKey, int]]:
-    """The links a :class:`FailureEncoding` would let fail (for reports)."""
-    banned = {lag_key(*k) for k in non_failable_lags}
-    out = []
-    for lag in topology.lags:
-        if lag.key in banned:
-            continue
-        for i, link in enumerate(lag.links):
-            if link.failure_probability is None and (
-                config.probability_threshold is not None
-            ):
-                continue
-            out.append((lag.key, i))
-    return out

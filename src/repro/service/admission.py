@@ -22,7 +22,7 @@ The distributed fleet adds a third pressure point on the *claim* side:
 an over-scaled worker fleet polling ``POST /v1/claims`` can stampede
 the store (every claim is a synchronous, fsync'd SQLite write).
 ``admit_claim`` therefore runs a token bucket refilled at
-``DistribConfig.max_claims_per_second`` (burst of one second's worth);
+``ServiceConfig.max_claims_per_second`` (burst of one second's worth);
 claims beyond it are shed with HTTP 429 + ``Retry-After`` sized to the
 bucket's refill time.  Unset (the default) admits every claim.
 
@@ -73,7 +73,7 @@ class AdmissionController:
     def __init__(self, store: JobStore, config: ServiceConfig):
         self.store = store
         self.config = config
-        rate = config.distrib.max_claims_per_second
+        rate = config.max_claims_per_second
         self._claim_lock = threading.Lock()
         self._claim_burst = max(1.0, rate) if rate is not None else 0.0
         self._claim_tokens = self._claim_burst  # start full: no cold shed
@@ -129,11 +129,11 @@ class AdmissionController:
         """Check one ``POST /v1/claims`` against the claim-rate bucket.
 
         Sheds (HTTP 429) when the fleet's aggregate claim rate exceeds
-        ``DistribConfig.max_claims_per_second``; the ``Retry-After``
+        ``ServiceConfig.max_claims_per_second``; the ``Retry-After``
         hint is the time until one token refills, so a shed worker
         backs off exactly long enough instead of thundering back.
         """
-        rate = self.config.distrib.max_claims_per_second
+        rate = self.config.max_claims_per_second
         if rate is None:
             return AdmissionDecision(admitted=True)
         with self._claim_lock:

@@ -22,14 +22,7 @@ of them supply:
   engineering optimum inside a single-level MILP (Section 4.1 of the paper).
 """
 
-from repro.solver.expr import (
-    Constraint,
-    LinExpr,
-    RangeConstraint,
-    Var,
-    indices_of,
-    quicksum,
-)
+from repro.solver.expr import Constraint, LinExpr, Var, quicksum
 from repro.solver.linearize import (
     indicator_geq,
     product_binary_bounded,
@@ -41,13 +34,11 @@ __all__ = [
     "Constraint",
     "LinExpr",
     "Model",
-    "RangeConstraint",
     "SolveResult",
     "SolveStats",
     "SolveStatus",
     "Var",
     "indicator_geq",
-    "indices_of",
     "product_binary_bounded",
     "quicksum",
 ]

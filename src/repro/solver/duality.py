@@ -67,7 +67,7 @@ class InnerLP:
 
     Inner variables must be nonnegative with no native upper bound: bounds
     that matter must be expressed as constraints so they receive duals.
-    Every constraint is split as ``lhs SENSE rhs`` where ``lhs`` mentions
+    Every constraint is given as ``lhs SENSE rhs`` where ``lhs`` mentions
     only inner variables (with constant coefficients) and ``rhs`` mentions
     only outer variables -- exactly the structure the paper exploits
     ("the variables of the outer problem are treated as constants by the
@@ -117,62 +117,32 @@ class InnerLP:
         self._cols.append(col)
         return var
 
-    def _split(self, lhs: LinExpr) -> tuple[LinExpr, LinExpr]:
-        """Split a mixed expression into (inner part, outer part)."""
-        inner = LinExpr()
-        outer = LinExpr({}, lhs.constant)
-        for idx, coef in lhs.terms.items():
-            if idx in self._col_of_var:
-                inner.terms[idx] = coef
-            else:
-                outer.terms[idx] = coef
-        return inner, outer
-
-    def add_constr(
-        self,
-        constraint,
-        dual_bound: float,
-        slack_bound: float = float("inf"),
-        name: str = "",
-    ) -> None:
-        """Add an inner constraint (posted to the host model immediately).
-
-        The constraint may mix inner and outer variables; it is split
-        automatically.  ``>=`` rows are flipped to ``<=``.
-
-        Args:
-            constraint: A Constraint built with ``<=``, ``>=`` or ``==``.
-            dual_bound: Valid bound on the magnitude of an optimal dual for
-                this row.  For the flow LPs in this repository the bound is
-                1 (see :mod:`repro.metaopt.bilevel` for the argument).
-            slack_bound: Valid bound on the row's slack ``rhs - lhs`` over
-                the feasible set; required finite for ``<=`` rows when KKT
-                conditions will be embedded.
-            name: Debugging name.
-        """
-        expr, sense = constraint.expr, constraint.sense
-        if sense == ">=":
-            expr, sense = -expr, "<="
-        inner, outer = self._split(expr)
-        # Normalized row: inner(x) SENSE -outer(I).
-        self._post([(inner, -outer, sense, dual_bound, slack_bound, name)])
-
     def add_rows(self, rows: Iterable[tuple]) -> None:
-        """Add inner rows given in split form, posted as one batch.
+        """Add inner rows ``lhs SENSE rhs``, posted to the host as one batch.
 
-        The fast path for builders that know which side each term is on:
-        no expression is split, and the host gets every row in one
-        :meth:`repro.solver.model.Model.add_constrs_batch` call.  Row by
-        row, the host model and the KKT data are exactly what
-        :meth:`add_constr` makes of ``lhs SENSE rhs``.
+        No expression is split: the caller says which side each term is
+        on, and the host gets every row, as ``lhs - rhs SENSE 0``, in one
+        :meth:`repro.solver.model.Model.add_constrs_batch` call.
 
         Args:
             rows: ``(lhs, rhs, sense, dual_bound, slack_bound, name)``
-                tuples: ``lhs`` a :class:`LinExpr` over inner variables,
-                ``rhs`` a number, an outer :class:`Var` or a
-                :class:`LinExpr` over outer variables, ``sense`` ``"<="``
-                or ``"=="``, the rest as in :meth:`add_constr`.
+                tuples:
+
+                * ``lhs`` -- a :class:`LinExpr` over inner variables;
+                * ``rhs`` -- a number, an outer :class:`Var` or a
+                  :class:`LinExpr` over outer variables;
+                * ``sense`` -- ``"<="`` or ``"=="``;
+                * ``dual_bound`` -- a valid bound on the magnitude of an
+                  optimal dual for the row.  For the flow LPs in this
+                  repository the bound is 1 (see
+                  :mod:`repro.metaopt.bilevel` for the argument);
+                * ``slack_bound`` -- a valid bound on the row's slack
+                  ``rhs - lhs`` over the feasible set; it must be finite
+                  for ``<=`` rows when KKT conditions are embedded;
+                * ``name`` -- a debugging name (generated when empty).
         """
+        if self._kkt_embedded:
+            raise ModelingError("cannot add constraints after embed_kkt()")
         split = []
         for lhs, rhs, sense, dual_bound, slack_bound, name in rows:
             if sense not in ("<=", "=="):
@@ -193,14 +163,8 @@ class InnerLP:
             outer = LinExpr(rhs.terms, -(lhs.constant + -rhs.constant))
             split.append((LinExpr(lhs.terms), outer, sense, dual_bound,
                           slack_bound, name))
-        self._post(split)
-
-    def _post(self, rows) -> None:
-        """Record split rows and post them to the host as one batch."""
-        if self._kkt_embedded:
-            raise ModelingError("cannot add constraints after embed_kkt()")
         batch = RowBatch()
-        for lhs, rhs, sense, dual_bound, slack_bound, name in rows:
+        for lhs, rhs, sense, dual_bound, slack_bound, name in split:
             row_index = len(self._rows)
             row = _InnerRow(
                 lhs=lhs,

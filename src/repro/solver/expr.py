@@ -14,7 +14,7 @@ non-convexities into linear outer constraints).
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -240,8 +240,8 @@ class Constraint:
     ``">="``, or ``"=="``.
 
     Once registered with a model, :attr:`row` holds the constraint's row
-    index -- the handle :meth:`repro.solver.model.Model.resolve_with`
-    accepts for right-hand-side overrides.
+    index -- the key :meth:`repro.solver.model.Model.resolve_with` takes
+    for a right-hand-side override.
     """
 
     __slots__ = ("expr", "sense", "name", "row")
@@ -263,105 +263,13 @@ class Constraint:
         return f"Constraint({self.expr!r} {self.sense} 0{label})"
 
 
-class RangeConstraint(Constraint):
-    """A two-sided row ``lo <= expr <= hi`` occupying a single matrix row.
-
-    Range rows are how HiGHS natively models interval constraints; one
-    row with both bounds is cheaper than the ``<=``/``>=`` pair.  The
-    model hands HiGHS the row as it is, so its dual is HiGHS's one row
-    dual: the marginal of shifting the whole interval.
-    Build via :meth:`repro.solver.model.Model.add_range_constr`.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, expr: LinExpr, lo: float, hi: float, name: str = ""):
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError(f"range constraint has lo {lo} > hi {hi}")
-        self.expr = expr
-        self.sense = "range"
-        self.name = name
-        self.row = None
-        self.lo = lo
-        self.hi = hi
-
-    def rhs(self) -> float:
-        raise TypeError(
-            "range constraints have two right-hand sides; use .lo/.hi"
-        )
-
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return (
-            f"RangeConstraint({self.lo:g} <= {self.expr!r} <= "
-            f"{self.hi:g}{label})"
-        )
-
-
-def indices_of(variables: Iterable[Var]) -> np.ndarray:
-    """The column indices of a variable sequence, as an array.
-
-    The bridge between :class:`Var` handles and the array-backed APIs
-    (:meth:`LinExpr.from_arrays`,
-    :meth:`repro.solver.model.Model.add_constrs_batch`).
-    """
-    if isinstance(variables, Sequence):
-        return np.fromiter(
-            (v.index for v in variables), dtype=np.intp,
-            count=len(variables),
-        )
-    return np.fromiter((v.index for v in variables), dtype=np.intp)
-
-
-def quicksum(items: Iterable, coefs=None) -> LinExpr:
+def quicksum(items: Iterable) -> LinExpr:
     """Sum variables/expressions/numbers into one :class:`LinExpr`.
 
     Unlike built-in :func:`sum`, this accumulates into a single expression
     without creating an intermediate object per addition, which matters
     when a capacity constraint sums thousands of flow terms.
-
-    Args:
-        items: Variables, expressions, or numbers to sum.
-        coefs: Optional per-item weights.  When every item is a
-            :class:`Var` the weighted sum is assembled through the
-            vectorized :meth:`LinExpr.from_arrays` path (the batched
-            form of the old ``quicksum(c * x for ...)`` idiom).
     """
-    if coefs is not None:
-        items = list(items)
-        coefs = np.asarray(coefs, dtype=np.float64)
-        if coefs.shape != (len(items),):
-            raise ValueError(
-                f"quicksum got {len(items)} items but coefs shape "
-                f"{coefs.shape}"
-            )
-        if all(isinstance(item, Var) for item in items):
-            return LinExpr.from_arrays(indices_of(items), coefs)
-        # The in-order ``+`` fold of ``coef * item``, accumulated in place.
-        result = LinExpr()
-        terms = result.terms
-        for item, coef in zip(items, coefs.tolist()):
-            if isinstance(item, Var):
-                pairs, constant = ((item.index, 1.0),), 0.0
-            elif isinstance(item, LinExpr):
-                pairs, constant = item.terms.items(), item.constant
-            elif isinstance(item, numbers.Real):
-                pairs, constant = (), float(item)
-            else:
-                raise TypeError(
-                    f"cannot build a linear expression from {item!r}"
-                )
-            if coef == 0.0:
-                continue  # scaling by zero yields the empty expression
-            for idx, value in pairs:
-                new = terms.get(idx, 0.0) + value * coef
-                if new == 0.0:
-                    terms.pop(idx, None)
-                else:
-                    terms[idx] = new
-            result.constant += constant * coef
-        return result
     result = LinExpr()
     terms = result.terms
     for item in items:

@@ -131,25 +131,3 @@ def product_binary_bounded(
         ge.terms[idx] = -coef
     model.add_constr(Constraint(ge, ">="), name=f"{name}:ge")
     return w
-
-
-def force_all_or_none(model: Model, binaries: list[Var], name: str = "group") -> None:
-    """Force a group of binaries to share one value (SRLG fate-sharing).
-
-    Links in the same shared-risk group fail together; this pins every
-    binary in ``binaries`` to the first one.
-    """
-    if len(binaries) < 2:
-        return
-    first = binaries[0].to_expr()
-    for i, other in enumerate(binaries[1:]):
-        model.add_constr(other.to_expr() == first, name=f"{name}[{i}]")
-
-
-def exactly_one(model: Model, binaries: list[Var], name: str = "one") -> None:
-    """Force exactly one of the binaries to be set."""
-    from repro.solver.expr import quicksum
-
-    if not binaries:
-        raise ModelingError("exactly_one over an empty group is infeasible")
-    model.add_constr(quicksum(binaries) == 1, name=name)

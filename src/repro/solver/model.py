@@ -35,7 +35,7 @@ calls skip matrix assembly and model loading entirely.
 from __future__ import annotations
 
 import time
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import repeat
 from math import copysign
 from typing import NamedTuple
@@ -51,7 +51,7 @@ from scipy.optimize._highspy import _core as _highs
 from repro.exceptions import ModelingError
 from repro.obs.trace import current_tracer
 from repro.resilience.faults import maybe_fire
-from repro.solver.expr import Constraint, LinExpr, RangeConstraint, Var
+from repro.solver.expr import Constraint, LinExpr, Var
 from repro.solver.result import SolveResult, SolveStats, SolveStatus
 
 _MODEL_STATUS = _highs.HighsModelStatus
@@ -77,7 +77,7 @@ _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 
 # Row sense codes stored in the model's uint8 sense buffer.
-_LE, _GE, _EQ, _RANGE = 0, 1, 2, 3
+_LE, _GE, _EQ = 0, 1, 2
 _SENSE_CODE = {"<=": _LE, ">=": _GE, "==": _EQ}
 
 _INF = float("inf")
@@ -160,13 +160,6 @@ _LP_OPTIONS = (
 _MILP_OPTIONS = (("log_to_console", False),)
 # Options every run sets, to the call's value or to HiGHS's default.
 _PER_CALL = ("time_limit", "mip_rel_gap")
-
-
-def _sides(lo, hi, value: tuple) -> tuple:
-    """``(lo, hi)`` with the non-``None`` sides of ``value`` put in."""
-    new_lo, new_hi = value
-    return (lo if new_lo is None else float(new_lo),
-            hi if new_hi is None else float(new_hi))
 
 
 def _check_patch(what: str, index: int, lo, hi) -> None:
@@ -598,95 +591,6 @@ class Model:
         self._invalidate()
         return var
 
-    def add_vars(
-        self,
-        keys: Iterable[Hashable],
-        lb: float = 0.0,
-        ub: float = _INF,
-        name: str = "x",
-        integer: bool = False,
-        binary: bool = False,
-    ) -> dict:
-        """Create one variable per key and return them keyed by the input."""
-        return {
-            key: self.add_var(
-                lb=lb, ub=ub, name=f"{name}[{key}]", integer=integer, binary=binary
-            )
-            for key in keys
-        }
-
-    def add_vars_batch(
-        self,
-        count: int,
-        lb=None,
-        ub=None,
-        name: str = "x",
-        integer: bool = False,
-        binary: bool = False,
-    ) -> list[Var]:
-        """Create ``count`` variables at once; bounds may be arrays.
-
-        Args:
-            count: Number of variables to create.
-            lb / ub: Scalar or length-``count`` arrays of bounds.
-            name: Name stem; variables are named ``name[i]``.
-            integer / binary: As in :meth:`add_var` (applied to all).
-
-        Returns:
-            The new :class:`Var` handles in column order.
-        """
-        count = int(count)
-        if count < 0:
-            raise ModelingError(f"cannot create {count} variables")
-        if binary:
-            integer = True
-            lb = 0.0 if lb is None else lb
-            ub = 1.0 if ub is None else ub
-        else:
-            lb = 0.0 if lb is None else lb
-            ub = _INF if ub is None else ub
-        try:
-            lb_arr = np.broadcast_to(
-                np.asarray(lb, dtype=np.float64), (count,)
-            )
-            ub_arr = np.broadcast_to(
-                np.asarray(ub, dtype=np.float64), (count,)
-            )
-        except ValueError as exc:
-            raise ModelingError(f"bad bound shape for {count} variables: {exc}")
-        if binary and not (
-            np.isin(lb_arr, (0.0, 1.0)).all()
-            and np.isin(ub_arr, (0.0, 1.0)).all()
-        ):
-            raise ModelingError(
-                f"variables {name!r}: bounds conflict with binary=True "
-                f"(binaries live in {{0, 1}})"
-            )
-        if (lb_arr > ub_arr).any():
-            bad = int(np.flatnonzero(lb_arr > ub_arr)[0])
-            raise ModelingError(
-                f"variable {name}[{bad}] has lb {lb_arr[bad]} > ub {ub_arr[bad]}"
-            )
-        base = len(self._vars)
-        new_vars = [
-            Var(
-                base + i,
-                f"{name}[{i}]",
-                lb=float(lb_arr[i]),
-                ub=float(ub_arr[i]),
-                integer=integer,
-            )
-            for i in range(count)
-        ]
-        self._vars.extend(new_vars)
-        self._var_lb.extend(lb_arr.tolist())
-        self._var_ub.extend(ub_arr.tolist())
-        self._var_int.extend(repeat(1 if integer else 0, count))
-        if integer:
-            self._num_integer += count
-        self._invalidate()
-        return new_vars
-
     def add_constr(self, constraint: Constraint, name: str = "") -> Constraint:
         """Register a constraint built with ``<=``, ``>=`` or ``==``."""
         if not isinstance(constraint, Constraint):
@@ -703,19 +607,14 @@ class Model:
             self._coo_rows.extend(repeat(row, len(terms)))
             self._coo_cols.extend(terms.keys())
             self._coo_vals.extend(terms.values())
-        if isinstance(constraint, RangeConstraint):
-            lo = constraint.lo - expr.constant
-            hi = constraint.hi - expr.constant
-            code = _RANGE
+        rhs = -expr.constant
+        sense = constraint.sense
+        if sense == "<=":
+            lo, hi, code = -_INF, rhs, _LE
+        elif sense == ">=":
+            lo, hi, code = rhs, _INF, _GE
         else:
-            rhs = -expr.constant
-            sense = constraint.sense
-            if sense == "<=":
-                lo, hi, code = -_INF, rhs, _LE
-            elif sense == ">=":
-                lo, hi, code = rhs, _INF, _GE
-            else:
-                lo, hi, code = rhs, rhs, _EQ
+            lo, hi, code = rhs, rhs, _EQ
         self._row_lb.push(lo)
         self._row_ub.push(hi)
         self._row_sense.push(code)
@@ -725,14 +624,6 @@ class Model:
         self._invalidate()
         return constraint
 
-    def add_range_constr(
-        self, expr, lo: float, hi: float, name: str = ""
-    ) -> RangeConstraint:
-        """Register ``lo <= expr <= hi`` as a single two-sided row."""
-        con = RangeConstraint(LinExpr._coerce(expr), lo, hi, name=name)
-        self.add_constr(con)
-        return con
-
     def add_constrs_batch(
         self,
         indptr,
@@ -741,8 +632,6 @@ class Model:
         *,
         sense="<=",
         rhs=None,
-        row_lb=None,
-        row_ub=None,
         name: str | Sequence[str] = "",
     ) -> range:
         """Register many constraint rows from coefficient arrays at once.
@@ -758,10 +647,8 @@ class Model:
             columns: Variable column indices (``Var.index``) per term.
             data: Coefficients per term; omitted means all ones.
             sense: A single sense string for every row, or a sequence of
-                per-row senses.  Ignored when ``row_lb``/``row_ub`` given.
-            rhs: Scalar or per-row right-hand sides (with ``sense``).
-            row_lb / row_ub: Explicit two-sided row bounds (scalar or
-                per-row); use these for range rows.
+                per-row senses.
+            rhs: Scalar or per-row right-hand sides.
             name: One name for every row, or a sequence of per-row names.
         Returns:
             ``range(first_row, first_row + n_rows)`` -- the row indices,
@@ -793,71 +680,34 @@ class Model:
                 f"column index out of range [0, {len(self._vars)})"
             )
 
+        if rhs is None:
+            raise ModelingError("add_constrs_batch needs rhs")
         try:
-            if row_lb is not None or row_ub is not None:
-                if rhs is not None:
-                    raise ModelingError(
-                        "pass either rhs+sense or row_lb/row_ub, not both"
-                    )
-                lo = (
-                    np.full(n_new, -_INF)
-                    if row_lb is None
-                    else np.broadcast_to(
-                        np.asarray(row_lb, dtype=np.float64), (n_new,)
-                    )
-                )
-                hi = (
-                    np.full(n_new, _INF)
-                    if row_ub is None
-                    else np.broadcast_to(
-                        np.asarray(row_ub, dtype=np.float64), (n_new,)
-                    )
-                )
-                if (lo > hi).any():
-                    bad = int(np.flatnonzero(lo > hi)[0])
-                    raise ModelingError(
-                        f"row {bad} has row_lb {lo[bad]} > row_ub {hi[bad]}"
-                    )
-                codes = np.full(n_new, _RANGE, dtype=np.uint8)
-                lo_fin = np.isfinite(lo)
-                hi_fin = np.isfinite(hi)
-                codes[~lo_fin] = _LE
-                codes[lo_fin & ~hi_fin] = _GE
-                codes[lo_fin & hi_fin & (lo == hi)] = _EQ
-            else:
-                if rhs is None:
-                    raise ModelingError(
-                        "add_constrs_batch needs rhs (or row_lb/row_ub)"
-                    )
-                rhs_arr = np.broadcast_to(
-                    np.asarray(rhs, dtype=np.float64), (n_new,)
-                )
-                if isinstance(sense, str):
-                    if sense not in _SENSE_CODE:
-                        raise ModelingError(f"unknown constraint sense {sense!r}")
-                    code = _SENSE_CODE[sense]
-                    codes = np.full(n_new, code, dtype=np.uint8)
-                    lo = (
-                        np.full(n_new, -_INF) if code == _LE else rhs_arr
-                    )
-                    hi = np.full(n_new, _INF) if code == _GE else rhs_arr
-                else:
-                    try:
-                        codes = np.fromiter(
-                            (_SENSE_CODE[s] for s in sense),
-                            dtype=np.uint8,
-                            count=n_new,
-                        )
-                    except KeyError as exc:
-                        raise ModelingError(
-                            f"unknown constraint sense {exc.args[0]!r}"
-                        )
-                    lo = np.where(codes != _LE, rhs_arr, -_INF)
-                    hi = np.where(codes != _GE, rhs_arr, _INF)
-        except ValueError as exc:
-            raise ModelingError(
-                f"bad rhs/bound shape for {n_new} rows: {exc}"
+            rhs_arr = np.broadcast_to(
+                np.asarray(rhs, dtype=np.float64), (n_new,)
             )
+            if isinstance(sense, str):
+                if sense not in _SENSE_CODE:
+                    raise ModelingError(f"unknown constraint sense {sense!r}")
+                code = _SENSE_CODE[sense]
+                codes = np.full(n_new, code, dtype=np.uint8)
+                lo = np.full(n_new, -_INF) if code == _LE else rhs_arr
+                hi = np.full(n_new, _INF) if code == _GE else rhs_arr
+            else:
+                try:
+                    codes = np.fromiter(
+                        (_SENSE_CODE[s] for s in sense),
+                        dtype=np.uint8,
+                        count=n_new,
+                    )
+                except KeyError as exc:
+                    raise ModelingError(
+                        f"unknown constraint sense {exc.args[0]!r}"
+                    )
+                lo = np.where(codes != _LE, rhs_arr, -_INF)
+                hi = np.where(codes != _GE, rhs_arr, _INF)
+        except ValueError as exc:
+            raise ModelingError(f"bad rhs shape for {n_new} rows: {exc}")
 
         if isinstance(name, str):
             names = repeat(name, n_new)
@@ -971,19 +821,6 @@ class Model:
         self._compiled = compiled
         return compiled
 
-    def _compile(self):
-        """Build (c, A, row_lb, row_ub, bounds, integrality) matrices."""
-        compiled, _ = self._ensure_compiled()
-        return (
-            compiled.c,
-            compiled.a,
-            compiled.row_lb,
-            compiled.row_ub,
-            compiled.var_lb,
-            compiled.var_ub,
-            compiled.integrality,
-        )
-
     def _materialize_constraints(self) -> list[Constraint]:
         """Build Constraint handles for batch-added rows from the CSR."""
         compiled, _ = self._ensure_compiled()
@@ -1001,16 +838,10 @@ class Model:
                 data[indptr[i] : indptr[i + 1]],
             )
             code = senses[i]
-            if code == _RANGE:
-                con: Constraint = RangeConstraint(
-                    expr, compiled.row_lb[i], compiled.row_ub[i],
-                    name=self._row_names[i],
-                )
-            else:
-                rhs = compiled.row_ub[i] if code == _LE else compiled.row_lb[i]
-                expr.constant = -float(rhs)
-                sense = "<=" if code == _LE else (">=" if code == _GE else "==")
-                con = Constraint(expr, sense, name=self._row_names[i])
+            rhs = compiled.row_ub[i] if code == _LE else compiled.row_lb[i]
+            expr.constant = -float(rhs)
+            sense = "<=" if code == _LE else (">=" if code == _GE else "==")
+            con = Constraint(expr, sense, name=self._row_names[i])
             con.row = i
             out.append(con)
         return out
@@ -1069,16 +900,13 @@ class Model:
         lower bound, say) reads as infeasible, like a refused model.
 
         Args:
-            rhs_overrides: ``{constraint_or_row_index: new_rhs}``.  Keys
-                are :class:`Constraint` handles (``con.row``) or integer
-                row indices (e.g. from :meth:`add_constrs_batch`).  For
-                one-sided/equality rows the value is a float replacing the
-                right-hand side; range rows take a ``(lo, hi)`` tuple
-                (either side ``None`` to keep it).
-            bound_overrides: ``{var_or_column_index: new_bounds}``.  A
-                float sets the upper bound (the common "cap this flow"
-                case); a ``(lb, ub)`` tuple sets both (``None`` keeps a
-                side).
+            rhs_overrides: ``{row_index: new_rhs}``: integer row indices
+                (``con.row``, or from :meth:`add_constrs_batch`), each
+                with a float replacing the row's right-hand side (both
+                sides of an ``==`` row).
+            bound_overrides: ``{column_index: new_ub}``: integer column
+                indices (``var.index``), each with a float replacing the
+                column's upper bound (the "cap this flow" case).
             time_limit / mip_rel_gap: As in :meth:`solve`.
         """
         compiled, _ = self._ensure_compiled()
@@ -1088,50 +916,26 @@ class Model:
             senses = self._row_sense.view()
             m = row_lb.size
             for key, value in rhs_overrides.items():
-                if isinstance(key, Constraint):
-                    i = key.row
-                    if i is None:
-                        raise ModelingError(
-                            f"constraint {key!r} was never added to a model"
-                        )
-                else:
-                    i = int(key)
+                i = int(key)
                 if not 0 <= i < m:
                     raise ModelingError(f"row index {i} out of range [0, {m})")
-                lo, hi = rows.get(i) or (row_lb[i], row_ub[i])
-                if isinstance(value, tuple):
-                    lo, hi = _sides(lo, hi, value)
-                else:
-                    code = senses[i]
-                    v = float(value)
-                    if code == _LE:
-                        hi = v
-                    elif code == _GE:
-                        lo = v
-                    elif code == _EQ:
-                        lo = hi = v
-                    else:
-                        raise ModelingError(
-                            f"row {i} is a range constraint; override with a "
-                            f"(lo, hi) tuple"
-                        )
+                code = senses[i]
+                v = float(value)
+                lo = row_lb[i] if code == _LE else v
+                hi = row_ub[i] if code == _GE else v
                 _check_patch("row", i, lo, hi)
                 rows[i] = (lo, hi)
         cols: dict[int, tuple] = {}
         if bound_overrides:
-            var_lb, var_ub = compiled.var_lb, compiled.var_ub
+            var_lb = compiled.var_lb
             n = var_lb.size
             for key, value in bound_overrides.items():
-                j = key.index if isinstance(key, Var) else int(key)
+                j = int(key)
                 if not 0 <= j < n:
                     raise ModelingError(
                         f"column index {j} out of range [0, {n})"
                     )
-                lo, hi = cols.get(j) or (var_lb[j], var_ub[j])
-                if isinstance(value, tuple):
-                    lo, hi = _sides(lo, hi, value)
-                else:
-                    hi = float(value)
+                lo, hi = var_lb[j], float(value)
                 _check_patch("column", j, lo, hi)
                 cols[j] = (lo, hi)
         return self._solve(

@@ -60,8 +60,8 @@ class SolveStats:
             linearizations that invite numerical trouble).
         max_abs_rhs: Largest finite row-bound magnitude.
         dual_mode: Where duals came from: ``"lp"`` (HiGHS's row duals,
-            one per model row, range rows included) or ``"none"`` (MILPs,
-            and LPs without a solution).
+            one per model row) or ``"none"`` (MILPs, and LPs without a
+            solution).
         incremental: Whether this was a :meth:`Model.resolve_with`
             re-solve reusing the compiled structure.
         compile_cached: Whether the compile cache supplied the matrices.
@@ -128,8 +128,7 @@ class SolveResult:
             (``None`` for MILPs): HiGHS's row dual times the objective
             sign, i.e. d(objective)/d(row bound).  Signs follow the
             model's stated sense: for a maximization, the dual of a
-            binding ``<=`` constraint is nonnegative.  A range row has one
-            dual, the marginal of shifting whichever side binds.
+            binding ``<=`` constraint is nonnegative.
         mip_gap: Relative MIP gap reported by HiGHS when available.
         solve_seconds: Wall-clock time spent inside the backend call.
         stats: Per-solve :class:`SolveStats` telemetry (``None`` only for

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import RahaConfig, Srlg
-from repro.core.encodings import FailureEncoding, failable_link_keys
+from repro.core.encodings import FailureEncoding
 from repro.network.builder import from_edges
 from repro.network.srlg import attach_srlg
 from repro.network.topology import Link
@@ -199,19 +199,6 @@ class TestScenarioExtraction:
         scenario = enc.extract_scenario(result)
         assert scenario.is_failed(("a", "c"), 0)
         assert scenario.num_failed_links == 1
-
-
-class TestFailableLinkKeys:
-    def test_counts(self, topo):
-        config = RahaConfig(demand_bounds={("a", "d"): (0.0, 1.0)})
-        keys = failable_link_keys(topo, config)
-        assert len(keys) == topo.num_links
-
-    def test_excluded_lag(self, topo):
-        config = RahaConfig(demand_bounds={("a", "d"): (0.0, 1.0)})
-        keys = failable_link_keys(topo, config,
-                                  non_failable_lags=[("a", "b")])
-        assert all(key != ("a", "b") for key, _ in keys)
 
 
 class TestSrlgGroupProbabilityFailability:

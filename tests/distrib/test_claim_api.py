@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import DistribConfig, ServiceConfig
+from repro.core.config import ServiceConfig
 from repro.service import api
 from repro.service.api import AnalysisService, make_server
 from repro.service.client import ServiceClient
@@ -127,7 +127,7 @@ class TestClaiming:
 
     def test_claim_rate_shed_is_429_with_retry_after(self, tmp_path):
         service = make_service(
-            tmp_path, distrib=DistribConfig(max_claims_per_second=1.0))
+            tmp_path, max_claims_per_second=1.0)
         try:
             status, _, _ = raw(service, "POST", "/v1/claims",
                                {"worker": "w1"})

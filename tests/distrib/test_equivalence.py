@@ -11,7 +11,6 @@ Two pins hold the fleet to the paper's reproduction bar:
   trail shows exactly one terminal transition per job.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -19,8 +18,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-
-import pytest
 
 from repro.core.config import DistribConfig, ServiceConfig, SupervisionConfig
 from repro.distrib.worker import WorkerAgent

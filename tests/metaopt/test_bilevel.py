@@ -16,9 +16,11 @@ def build_capacity_game():
     heur = game.adversarial_inner("heur", sense="max")
     f1 = heur.add_var(obj_coef=1.0, value_bound=4.0, name="f1")
     f2 = heur.add_var(obj_coef=1.0, value_bound=4.0, name="f2")
-    heur.add_constr(f1 <= c1, dual_bound=1.0, slack_bound=4.0)
-    heur.add_constr(f2 <= c2, dual_bound=1.0, slack_bound=4.0)
-    heur.add_constr(f1 <= 1, dual_bound=1.0, slack_bound=4.0)
+    heur.add_rows([
+        (f1.to_expr(), c1, "<=", 1.0, 4.0, ""),
+        (f2.to_expr(), c2, "<=", 1.0, 4.0, ""),
+        (f1.to_expr(), 1, "<=", 1.0, 4.0, ""),
+    ])
     return game, heur, (c1, c2, f1, f2)
 
 
@@ -37,11 +39,13 @@ class TestGame:
         b = model.add_var(lb=0, ub=5, name="b")
         optimal = game.aligned_inner("opt", sense="max")
         x = optimal.add_var(obj_coef=1.0, value_bound=10.0, name="x")
-        optimal.add_constr(x <= 5, dual_bound=1.0, slack_bound=10.0)
+        optimal.add_rows([(x.to_expr(), 5, "<=", 1.0, 10.0, "")])
         heur = game.adversarial_inner("heur", sense="max")
         y = heur.add_var(obj_coef=1.0, value_bound=10.0, name="y")
-        heur.add_constr(y <= b, dual_bound=1.0, slack_bound=10.0)
-        heur.add_constr(y <= 5, dual_bound=1.0, slack_bound=10.0)
+        heur.add_rows([
+            (y.to_expr(), b, "<=", 1.0, 10.0, ""),
+            (y.to_expr(), 5, "<=", 1.0, 10.0, ""),
+        ])
         game.set_gap_objective(optimal, heur)
         result = game.solve().require_ok()
         # opt = 5 always; heur = min(b, 5); adversary picks b = 0.
@@ -54,10 +58,10 @@ class TestGame:
         d = model.add_var(lb=0, ub=6, name="d")
         optimal = game.aligned_inner("opt", sense="min")
         u_o = optimal.add_var(obj_coef=1.0, value_bound=10.0, name="u_o")
-        optimal.add_constr(d - 3 * u_o <= 0, dual_bound=1.0, slack_bound=40.0)
+        optimal.add_rows([(-3 * u_o, -d, "<=", 1.0, 40.0, "")])
         heur = game.adversarial_inner("heur", sense="min")
         u_h = heur.add_var(obj_coef=1.0, value_bound=10.0, name="u_h")
-        heur.add_constr(d - 2 * u_h <= 0, dual_bound=1.0, slack_bound=40.0)
+        heur.add_rows([(-2 * u_h, -d, "<=", 1.0, 40.0, "")])
         game.set_gap_objective(optimal, heur)
         result = game.solve().require_ok()
         # gap = d/2 - d/3 = d/6, maximized at d = 6 -> 1.

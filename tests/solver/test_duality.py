@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelingError, VerificationError
-from repro.solver import Model
+from repro.solver import LinExpr, Model
 from repro.solver.duality import InnerLP
+
+INF = float("inf")
 
 
 def build_tracking_inner(b_fixed):
@@ -16,7 +18,7 @@ def build_tracking_inner(b_fixed):
     host.add_constr(b.to_expr() == b_fixed)
     inner = InnerLP(host, "inner", sense="max")
     x = inner.add_var(obj_coef=1.0, value_bound=10.0, name="x")
-    inner.add_constr(x <= b, dual_bound=1.0, slack_bound=10.0)
+    inner.add_rows([(x.to_expr(), b, "<=", 1.0, 10.0, "")])
     inner.embed_kkt()
     return host, inner, b, x
 
@@ -50,8 +52,10 @@ class TestStackelbergGame:
         b = host.add_var(lb=1, ub=4, name="b")
         inner = InnerLP(host, "inner", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=4.0, name="x")
-        inner.add_constr(x <= b, dual_bound=1.0, slack_bound=4.0)
-        inner.add_constr(x <= 3, dual_bound=1.0, slack_bound=4.0)
+        inner.add_rows([
+            (x.to_expr(), b, "<=", 1.0, 4.0, ""),
+            (x.to_expr(), 3, "<=", 1.0, 4.0, ""),
+        ])
         inner.embed_kkt()
         host.set_objective(3 - inner.objective_expr(), sense="max")
         r = host.solve().require_ok()
@@ -73,10 +77,12 @@ class TestStackelbergGame:
         inner = InnerLP(host, "net", sense="max")
         f1 = inner.add_var(obj_coef=1.0, value_bound=4.0, name="f1")
         f2 = inner.add_var(obj_coef=1.0, value_bound=4.0, name="f2")
-        inner.add_constr(f1 <= c1, dual_bound=1.0, slack_bound=4.0)
-        inner.add_constr(f2 <= c2, dual_bound=1.0, slack_bound=4.0)
-        inner.add_constr(f1 <= 1, dual_bound=1.0, slack_bound=4.0)
-        inner.add_constr(f2 <= 10, dual_bound=1.0, slack_bound=10.0)
+        inner.add_rows([
+            (f1.to_expr(), c1, "<=", 1.0, 4.0, ""),
+            (f2.to_expr(), c2, "<=", 1.0, 4.0, ""),
+            (f1.to_expr(), 1, "<=", 1.0, 4.0, ""),
+            (f2.to_expr(), 10, "<=", 1.0, 10.0, ""),
+        ])
         inner.embed_kkt()
         host.set_objective(-inner.objective_expr(), sense="max")
         r = host.solve().require_ok()
@@ -93,8 +99,8 @@ class TestMinimizationInner:
         host.add_constr(load.to_expr() == 6)
         inner = InnerLP(host, "mlu", sense="min")
         u = inner.add_var(obj_coef=1.0, value_bound=10.0, name="u")
-        # u * 2 >= load  <=>  load - 2u <= 0
-        inner.add_constr(load - 2 * u <= 0, dual_bound=1.0, slack_bound=30.0)
+        # u * 2 >= load  <=>  -2u <= -load
+        inner.add_rows([(-2 * u, -load, "<=", 1.0, 30.0, "")])
         inner.embed_kkt()
         # Host would prefer a huge u (it maximizes +u), KKT pins u = 3.
         host.set_objective(inner.objective_expr(), sense="max")
@@ -109,8 +115,10 @@ class TestMinimizationInner:
         inner = InnerLP(host, "eq", sense="min")
         u = inner.add_var(obj_coef=1.0, value_bound=20.0, name="u")
         f = inner.add_var(obj_coef=0.0, value_bound=20.0, name="f")
-        inner.add_constr(f == d, dual_bound=5.0)
-        inner.add_constr(f - 2 * u <= 0, dual_bound=5.0, slack_bound=60.0)
+        inner.add_rows([
+            (f.to_expr(), d, "==", 5.0, INF, ""),
+            (f - 2 * u, 0, "<=", 5.0, 60.0, ""),
+        ])
         inner.embed_kkt()
         host.set_objective(inner.objective_expr(), sense="max")
         r = host.solve().require_ok()
@@ -130,7 +138,7 @@ class TestValidation:
         b = host.add_var(ub=1)
         inner = InnerLP(host, "i", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=1.0)
-        inner.add_constr(x <= b, dual_bound=1.0)  # no slack bound
+        inner.add_rows([(x.to_expr(), b, "<=", 1.0, INF, "")])  # no slack bound
         with pytest.raises(ModelingError):
             inner.embed_kkt()
 
@@ -138,19 +146,19 @@ class TestValidation:
         host = Model()
         inner = InnerLP(host, "i", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=1.0)
-        inner.add_constr(x <= 1, dual_bound=1.0, slack_bound=1.0)
+        inner.add_rows([(x.to_expr(), 1, "<=", 1.0, 1.0, "")])
         inner.embed_kkt()
         with pytest.raises(ModelingError):
             inner.embed_kkt()
 
-    def test_add_constr_after_embed_rejected(self):
+    def test_add_rows_after_embed_rejected(self):
         host = Model()
         inner = InnerLP(host, "i", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=1.0)
-        inner.add_constr(x <= 1, dual_bound=1.0, slack_bound=1.0)
+        inner.add_rows([(x.to_expr(), 1, "<=", 1.0, 1.0, "")])
         inner.embed_kkt()
         with pytest.raises(ModelingError):
-            inner.add_constr(x <= 2, dual_bound=1.0, slack_bound=2.0)
+            inner.add_rows([(x.to_expr(), 2, "<=", 1.0, 2.0, "")])
 
     def test_bad_sense_rejected(self):
         with pytest.raises(ModelingError):
@@ -166,7 +174,7 @@ class TestValidation:
         # the dual bound is 1: complementarity can then hold with the
         # constraint slack *and* a dual of <= 1, breaking optimality.
         x = inner.add_var(obj_coef=5.0, value_bound=10.0, name="x")
-        inner.add_constr(x <= b, dual_bound=1.0, slack_bound=10.0)
+        inner.add_rows([(x.to_expr(), b, "<=", 1.0, 10.0, "")])
         inner.embed_kkt()
         host.set_objective(-inner.objective_expr(), sense="max")
         r = host.solve()
@@ -193,48 +201,51 @@ class TestResolveAt:
 
 
 class TestAddRows:
-    """``add_rows`` (split form, one batch) builds what ``add_constr`` does."""
+    """``add_rows`` posts ``lhs - rhs SENSE 0`` to the host and keeps
+    ``rhs`` (outer terms and constant) for the KKT rows."""
 
     @staticmethod
-    def _build(split_form: bool):
+    def _arrays(model):
         import numpy as np
 
-        from repro.solver import LinExpr
+        compiled, _ = model._ensure_compiled()
+        return [np.asarray(a).tobytes() for a in (
+            compiled.c, compiled.a.data, compiled.a.indices,
+            compiled.a.indptr, compiled.row_lb, compiled.row_ub,
+            compiled.var_lb, compiled.var_ub, compiled.integrality)]
 
+    @staticmethod
+    def _host():
         host = Model("h")
         d = host.add_var(lb=0, ub=7, name="d")
         u = host.add_var(binary=True, name="u")
+        return host, d, u
+
+    def test_host_rows_are_the_expression_algebra_rows(self):
+        host, d, u = self._host()
         inner = InnerLP(host, "inner", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=7.0, name="x")
         y = inner.add_var(obj_coef=2.0, value_bound=7.0, name="y")
         cap = LinExpr({u.index: -4.0}, 6.5)  # a variable capacity 6.5 - 4u
-        if split_form:
-            inner.add_rows([
-                (LinExpr({x.index: 1.0, y.index: 1.0}), d, "<=", 1.0, 7.0,
-                 "dem"),
-                (LinExpr({y.index: 1.0}), cap, "<=", 1.0, 6.5, "cap"),
-                (LinExpr({x.index: 1.0, y.index: -1.0}), 0.0, "==", 2.0,
-                 float("inf"), "tie"),
-                (LinExpr({x.index: 1.0}), 3, "<=", 1.0, 3.0, "gate"),
-            ])
-        else:
-            inner.add_constr(x + y <= d, dual_bound=1.0, slack_bound=7.0,
-                             name="dem")
-            inner.add_constr(y <= cap, dual_bound=1.0, slack_bound=6.5,
-                             name="cap")
-            inner.add_constr(x == y, dual_bound=2.0, name="tie")
-            inner.add_constr(x <= 3, dual_bound=1.0, slack_bound=3.0,
-                             name="gate")
-        inner.embed_kkt()
-        compiled, _ = host._ensure_compiled()
-        arrays = (compiled.c, compiled.a.data, compiled.a.indices,
-                  compiled.a.indptr, compiled.row_lb, compiled.row_ub,
-                  compiled.var_lb, compiled.var_ub, compiled.integrality)
-        rhs = [(r.rhs.terms, r.rhs.constant.hex()) for r in inner._rows]
-        return [np.asarray(a).tobytes() for a in arrays], rhs
-
-    def test_same_host_model_and_kkt_data_as_add_constr(self):
-        assert self._build(True) == self._build(False)
+        inner.add_rows([
+            (LinExpr({x.index: 1.0, y.index: 1.0}), d, "<=", 1.0, 7.0,
+             "dem"),
+            (LinExpr({y.index: 1.0}), cap, "<=", 1.0, 6.5, "cap"),
+            (LinExpr({x.index: 1.0, y.index: -1.0}), 0.0, "==", 2.0, INF,
+             "tie"),
+            (LinExpr({x.index: 1.0}), 3, "<=", 1.0, 3.0, "gate"),
+        ])
+        plain, pd, pu = self._host()
+        px, py = plain.add_var(name="x"), plain.add_var(name="y")
+        plain.add_constr(px + py <= pd)
+        plain.add_constr(py <= 6.5 - 4 * pu)
+        plain.add_constr(px == py)
+        plain.add_constr(px <= 3)
+        assert self._arrays(host) == self._arrays(plain)
+        assert [(r.rhs.terms, r.rhs.constant) for r in inner._rows] == [
+            ({d.index: 1.0}, 0.0), ({u.index: -4.0}, 6.5), ({}, 0.0),
+            ({}, 3.0)]
+        assert [r.name for r in inner._rows] == ["dem", "cap", "tie", "gate"]
 
     def test_rejects_a_side_with_the_wrong_variables(self):
         from repro.solver import LinExpr

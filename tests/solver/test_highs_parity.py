@@ -28,7 +28,7 @@ _SCIPY_TO_STATUS = {
     3: SolveStatus.UNBOUNDED,
     4: SolveStatus.ERROR,
 }
-_SENSES = ("<=", ">=", "==", "range")
+_SENSES = ("<=", ">=", "==")
 
 
 def _random_model(seed, senses, sense="max", integer=False):
@@ -53,7 +53,8 @@ def _random_model(seed, senses, sense="max", integer=False):
     row_ub = np.full(len(senses), np.inf)
 
     m = Model(f"parity-{seed}")
-    xs = m.add_vars_batch(n, lb=var_lb, ub=var_ub, integer=integer)
+    xs = [m.add_var(lb=lo, ub=hi, integer=integer)
+          for lo, hi in zip(var_lb, var_ub)]
     rows = []
     for i, row_sense in enumerate(senses):
         expr = sum(float(a[i, j]) * xs[j] for j in range(n) if a[i, j])
@@ -63,12 +64,9 @@ def _random_model(seed, senses, sense="max", integer=False):
         elif row_sense == ">=":
             row_lb[i] = ax0[i] - slack[i]
             rows.append(m.add_constr(expr >= row_lb[i]))
-        elif row_sense == "==":
+        else:
             row_lb[i] = row_ub[i] = ax0[i]
             rows.append(m.add_constr(expr == row_ub[i]))
-        else:
-            row_lb[i], row_ub[i] = ax0[i] - slack[i], ax0[i] + 2 * slack[i]
-            rows.append(m.add_range_constr(expr, row_lb[i], row_ub[i]))
     m.set_objective(sum(float(c[j]) * xs[j] for j in range(n)), sense=sense)
     return m, rows, (c, a, row_lb, row_ub, var_lb, var_ub)
 
@@ -133,21 +131,17 @@ def _override(model, rows, arrays, seed):
     rhs = {}
     for i in rng.choice(len(rows), size=2, replace=False).tolist():
         shift = float(np.round(rng.uniform(-0.5, 1.0), 2))
-        if rows[i].sense == "range":
-            rhs[rows[i]] = (row_lb[i] - shift, row_ub[i] + shift)
-            row_lb[i] -= shift
-            row_ub[i] += shift
-        elif np.isfinite(row_ub[i]) and np.isfinite(row_lb[i]):
-            rhs[i] = row_ub[i] + shift
+        if np.isfinite(row_ub[i]) and np.isfinite(row_lb[i]):
+            rhs[rows[i].row] = row_ub[i] + shift
             row_lb[i] = row_ub[i] = row_ub[i] + shift
         elif np.isfinite(row_ub[i]):
-            rhs[rows[i]] = row_ub[i] + shift
+            rhs[rows[i].row] = row_ub[i] + shift
             row_ub[i] += shift
         else:
-            rhs[i] = row_lb[i] - shift
+            rhs[rows[i].row] = row_lb[i] - shift
             row_lb[i] -= shift
     j = int(rng.integers(c.size))
-    bounds = {model.variables[j]: float(var_ub[j] - 1), 0: (0.0, None)}
+    bounds = {model.variables[j].index: float(var_ub[j] - 1)}
     var_ub[j] -= 1
     result = model.resolve_with(rhs_overrides=rhs, bound_overrides=bounds)
     return result, (c, a, row_lb, row_ub, var_lb, var_ub)
@@ -174,7 +168,7 @@ def test_all_le_lp_is_bit_equal_to_linprog(seed, sense):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("sense", ["max", "min"])
 def test_mixed_sense_lp_matches_linprog(seed, sense):
-    senses = [_SENSES[(seed + k) % 4] for k in range(5)]
+    senses = [_SENSES[(seed + k) % 3] for k in range(5)]
     model, rows, arrays = _random_model(seed, senses, sense)
     status, objective, duals = _linprog(arrays, sense)
     ours = model.solve()
@@ -193,7 +187,7 @@ def test_mixed_sense_lp_matches_linprog(seed, sense):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("sense", ["max", "min"])
 def test_milp_is_bit_equal_to_milp(seed, sense):
-    senses = [_SENSES[(seed + k) % 4] for k in range(4)]
+    senses = [_SENSES[(seed + k) % 3] for k in range(4)]
     model, rows, arrays = _random_model(seed, senses, sense, integer=True)
     status, objective = _milp(arrays, sense)
     ours = model.solve()
@@ -247,7 +241,8 @@ def test_milp_time_limit_without_incumbent():
     a = rng.integers(1, 20, size=(rows, n)).astype(float)
     b = np.round(a.sum(axis=1) * 0.37)
     m = Model()
-    m.add_vars_batch(n, ub=3.0, integer=True)
+    for _ in range(n):
+        m.add_var(ub=3.0, integer=True)
     m.add_constrs_batch(
         np.arange(0, rows * n + 1, n), np.tile(np.arange(n), rows),
         a.ravel(), sense="==", rhs=b,
@@ -285,7 +280,7 @@ def _session_arrays(seed):
     above so HiGHS does real simplex and branch-and-bound work."""
     rng = np.random.default_rng(seed)
     n, m = 10, 8
-    senses = np.array([_SENSES[k % 4] for k in range(m)])
+    senses = np.array([_SENSES[k % 3] for k in range(m)])
     a = np.round(rng.uniform(-1.0, 3.0, size=(m, n)), 2)
     a[np.abs(a) < 0.6] = 0.0
     a[~a.any(axis=1), 0] = 1.0
@@ -301,13 +296,18 @@ def _session_arrays(seed):
 
 
 def _from_arrays(arrays, integer):
+    """The model of ``arrays``; a row's sense is read from its bounds."""
     c, a, row_lb, row_ub, var_lb, var_ub = arrays
     m = Model("session")
-    m.add_vars_batch(c.size, lb=var_lb, ub=var_ub, integer=integer)
+    for lo, hi in zip(var_lb, var_ub):
+        m.add_var(lb=lo, ub=hi, integer=integer)
     nz = a != 0
+    senses = np.where(np.isinf(row_lb), "<=",
+                      np.where(np.isinf(row_ub), ">=", "=="))
     m.add_constrs_batch(
         np.concatenate([[0], np.cumsum(nz.sum(axis=1))]),
-        np.nonzero(nz)[1], a[nz], row_lb=row_lb, row_ub=row_ub,
+        np.nonzero(nz)[1], a[nz], sense=senses.tolist(),
+        rhs=np.where(senses == "<=", row_ub, row_lb),
     )
     m.set_objective(sum(float(c[j]) * v for j, v in enumerate(m.variables)),
                     sense="max")
@@ -322,31 +322,18 @@ def _bits(result):
             hexes(result.x), hexes(result.duals), result.mip_gap)
 
 
-def _set_sides(lower, upper, index, value):
-    lo, hi = value
-    if lo is not None:
-        lower[index] = lo
-    if hi is not None:
-        upper[index] = hi
-
-
 def _patched(arrays, senses, rhs, bounds):
     """Reference arrays with ``resolve_with``'s overrides applied."""
     c, a, row_lb, row_ub, var_lb, var_ub = (x.copy() for x in arrays)
     for i, value in rhs.items():
-        if isinstance(value, tuple):
-            _set_sides(row_lb, row_ub, i, value)
-        elif senses[i] == "<=":
+        if senses[i] == "<=":
             row_ub[i] = value
         elif senses[i] == ">=":
             row_lb[i] = value
         else:
             row_lb[i] = row_ub[i] = value
     for j, value in bounds.items():
-        if isinstance(value, tuple):
-            _set_sides(var_lb, var_ub, j, value)
-        else:
-            var_ub[j] = value
+        var_ub[j] = value
     return c, a, row_lb, row_ub, var_lb, var_ub
 
 
@@ -356,17 +343,15 @@ def test_resolve_sequence_equals_fresh_solves(seed, integer):
     senses, arrays = _session_arrays(seed)
     ge = int(np.flatnonzero(senses == ">=")[0])
     le = int(np.flatnonzero(senses == "<=")[0])
-    ranged = int(np.flatnonzero(senses == "range")[0])
+    eq = int(np.flatnonzero(senses == "==")[0])
     sequence = [
         # (rhs overrides, bound overrides, solve options)
         ({ge: 1e4}, {}, {}),                                   # infeasible
         ({le: arrays[3][le] - 0.5}, {2: 1.0}, {}),             # feasible
-        ({ranged: (arrays[2][ranged] - 1.0, arrays[3][ranged] + 0.25)},
-         {0: (1.0, 2.0)}, {"time_limit": 0.0}),
-        ({ranged: (arrays[2][ranged] - 1.0, arrays[3][ranged] + 0.25)},
-         {0: (1.0, 2.0)}, {"time_limit": None}),
-        ({}, {3: 0.0, 5: (None, 1.0)}, {"mip_rel_gap": 0.5}),
-        ({}, {3: 0.0, 5: (None, 1.0)}, {}),
+        ({eq: arrays[3][eq] + 0.25}, {0: 2.0}, {"time_limit": 0.0}),
+        ({eq: arrays[3][eq] + 0.25}, {0: 2.0}, {"time_limit": None}),
+        ({}, {3: 0.0, 5: 1.0}, {"mip_rel_gap": 0.5}),
+        ({}, {3: 0.0, 5: 1.0}, {}),
         ({}, {}, {}),
     ]
     model = _from_arrays(arrays, integer)
@@ -401,14 +386,15 @@ def test_each_run_holds_its_own_overrides_and_no_earlier_ones(integer):
     ge = int(np.flatnonzero(senses == ">=")[0])
     eq = int(np.flatnonzero(senses == "==")[0])
     ge_lb = float(arrays[2][ge])
+    eq_rhs = float(arrays[2][eq])
     sequence = [
-        ({le: 0.0}, {1: 0.0, 4: (1.0, None)}),
-        ({le: 0.0}, {1: 0.0, 4: (1.0, None)}),  # all held alike
+        ({le: 0.0}, {1: 0.0, 4: 5.0}),
+        ({le: 0.0}, {1: 0.0, 4: 5.0}),  # all held alike
         ({le: -0.0, ge: ge_lb - 1.0}, {1: -0.0}),  # -0.0 over 0.0
-        ({le: -0.0, ge: ge_lb - 1.0}, {1: 0.0, 6: (None, 2.0)}),
-        ({}, {2: (float("inf"), float("inf"))}),  # refused, with restores
-        ({ge: float("inf")}, {6: (None, 2.0)}),  # refused
-        ({ge: ge_lb - 0.5, eq: (None, None)}, {6: (None, 2.0)}),
+        ({le: -0.0, ge: ge_lb - 1.0}, {1: 0.0, 6: 2.0}),
+        ({ge: float("inf")}, {}),  # refused, with restores
+        ({ge: float("inf")}, {6: 2.0}),  # refused
+        ({ge: ge_lb - 0.5, eq: eq_rhs}, {6: 2.0}),  # eq held as compiled
         ({}, {}),
     ]
     model = _from_arrays(arrays, integer)
@@ -470,8 +456,8 @@ def test_adding_a_variable_after_a_solve_reloads_the_model():
     model = _from_arrays(arrays, integer=False)
     before = model.solve()
     extra = model.add_var(ub=2.0, name="extra")
-    model.add_constr(extra + model.variables[0] <= 3.0)
-    after = model.resolve_with(bound_overrides={extra: (1.0, None)})
+    floor = model.add_constr(extra >= 0.0)
+    after = model.resolve_with({floor.row: 1.0})
     assert after.x.size == before.x.size + 1
     assert after.x[extra.index] >= 1.0
     assert after.duals.size == before.duals.size + 1

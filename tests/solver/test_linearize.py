@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelingError
 from repro.solver import Model, quicksum
-from repro.solver.linearize import (
-    exactly_one,
-    force_all_or_none,
-    indicator_geq,
-    product_binary_bounded,
-)
+from repro.solver.linearize import indicator_geq, product_binary_bounded
 
 
 class TestIndicatorGeq:
@@ -121,42 +116,6 @@ class TestProduct:
         hi, lo = self._product_value(z, x, ub=9.0)
         assert hi == pytest.approx(z * x, abs=1e-6)
         assert lo == pytest.approx(z * x, abs=1e-6)
-
-
-class TestGroupHelpers:
-    def test_force_all_or_none(self):
-        m = Model()
-        bits = [m.add_var(binary=True) for _ in range(4)]
-        force_all_or_none(m, bits)
-        m.add_constr(bits[0].to_expr() == 1)
-        m.set_objective(quicksum(bits), sense="min")
-        r = m.solve().require_ok()
-        assert r.values(bits) == pytest.approx([1, 1, 1, 1])
-
-    def test_force_all_or_none_zero(self):
-        m = Model()
-        bits = [m.add_var(binary=True) for _ in range(3)]
-        force_all_or_none(m, bits)
-        m.add_constr(bits[2].to_expr() == 0)
-        m.set_objective(quicksum(bits), sense="max")
-        assert m.solve().objective == pytest.approx(0.0)
-
-    def test_force_single_is_noop(self):
-        m = Model()
-        b = m.add_var(binary=True)
-        force_all_or_none(m, [b])
-        assert m.num_constraints == 0
-
-    def test_exactly_one(self):
-        m = Model()
-        bits = [m.add_var(binary=True) for _ in range(3)]
-        exactly_one(m, bits)
-        m.set_objective(quicksum(bits), sense="max")
-        assert m.solve().objective == pytest.approx(1.0)
-
-    def test_exactly_one_empty_rejected(self):
-        with pytest.raises(ModelingError):
-            exactly_one(Model(), [])
 
 
 class TestDegenerateIndicatorPaths:

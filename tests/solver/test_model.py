@@ -157,12 +157,6 @@ class TestMILP:
 
 
 class TestModelApi:
-    def test_add_vars_dict(self):
-        m = Model()
-        d = m.add_vars(["a", "b", "c"], ub=2.0, name="f")
-        assert set(d) == {"a", "b", "c"}
-        assert d["b"].name == "f[b]"
-
     def test_is_mip_flag(self):
         m = Model()
         assert not m.is_mip
@@ -248,7 +242,7 @@ def _nan_via_resolve_with():
     x, y = m.add_var(ub=10), m.add_var(ub=5)
     cap = m.add_constr(x + y <= 8)
     m.set_objective(x + 2 * y, sense="max")
-    return lambda: m.resolve_with(rhs_overrides={cap: float("nan")})
+    return lambda: m.resolve_with(rhs_overrides={cap.row: float("nan")})
 
 
 def _nan_via_add_var():
@@ -290,10 +284,11 @@ def test_infinite_bounds_still_solve():
     m = Model()
     x = m.add_var(lb=-float("inf"), ub=float("inf"))
     cap = m.add_constr(x <= 3)
-    m.add_range_constr(x, -float("inf"), float("inf"))
+    m.add_constr(x <= float("inf"))
     m.set_objective(x.to_expr(), sense="max")
     assert m.solve().objective == 3.0
-    assert m.resolve_with({cap: float("inf")}).status is SolveStatus.UNBOUNDED
+    assert m.resolve_with({cap.row: float("inf")}).status is \
+        SolveStatus.UNBOUNDED
 
 
 class TestSearchTelemetry:
@@ -332,7 +327,7 @@ class TestSearchTelemetry:
         x = m.add_var(ub=4)
         con = m.add_constr(x <= 3)
         m.set_objective(x, sense="max")
-        for result in (m.solve(), m.resolve_with({con: 2.0})):
+        for result in (m.solve(), m.resolve_with({con.row: 2.0})):
             assert result.status is SolveStatus.OPTIMAL
             stats = result.stats
             assert stats.mip_node_count is None
