@@ -201,6 +201,32 @@ class TestScenarioExtraction:
         assert scenario.num_failed_links == 1
 
 
+class TestFailableLinkKeys:
+    """The ``(lag key, link index)`` keys whose link gets a binary."""
+
+    @staticmethod
+    def _keys(enc):
+        return [key for key, u in enc.link_down.items()
+                if isinstance(u, Var)]
+
+    def test_counts(self, topo, paths):
+        _, enc = make_encoding(topo, paths)
+        keys = self._keys(enc)
+        assert len(keys) == topo.num_links
+        assert set(keys) == {(lag.key, i) for lag in topo.lags
+                             for i in range(len(lag.links))}
+
+    def test_excluded_lag(self, topo, paths):
+        config = RahaConfig(demand_bounds={("a", "d"): (0.0, 1.0)})
+        enc = FailureEncoding(
+            model=Model("enc"), topology=topo, paths=paths, config=config,
+            non_failable_lags=frozenset({("a", "b")}),
+        )
+        keys = self._keys(enc)
+        assert all(key != ("a", "b") for key, _ in keys)
+        assert len(keys) == topo.num_links - 2
+
+
 class TestSrlgGroupProbabilityFailability:
     def test_probability_free_member_failable_via_group(self, paths):
         """A link without its own probability may still fail under a

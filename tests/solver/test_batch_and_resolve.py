@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelingError
-from repro.solver import Model, quicksum
+from repro.solver import Model, SolveStatus, quicksum
 from repro.solver.expr import LinExpr
 
 
@@ -43,6 +43,70 @@ class TestFromArrays:
         batched = LinExpr.from_arrays([x.index for x in xs], coefs)
         scalar = quicksum(c * x for c, x in zip(coefs, xs))
         assert batched.terms == scalar.terms
+
+
+class TestQuicksumCoefs:
+    """Weights go on the items (``quicksum(w * x ...)``) or through
+    ``LinExpr.from_arrays``; both give the same expression."""
+
+    def test_coefs_path_matches_generator(self):
+        m = Model()
+        xs = [m.add_var(ub=2.0) for _ in range(5)]
+        w = [1.0, 2.0, 3.0, 4.0, 5.0]
+        cols = [x.index for x in xs] + [xs[0].index]
+        assert LinExpr.from_arrays(cols, w + [-1.0]).terms == \
+            quicksum(wi * x for wi, x in zip(w + [-1.0], xs + [xs[0]])).terms
+
+    def test_coefs_length_mismatch_rejected(self):
+        m = Model()
+        xs = [m.add_var() for _ in range(3)]
+        with pytest.raises((ModelingError, ValueError)):
+            LinExpr.from_arrays([x.index for x in xs], [1.0, 2.0])
+
+
+class TestAddVarsBatch:
+    """Per-variable bounds and their checks, on ``add_var`` and on the
+    array form rows take (``add_constrs_batch``)."""
+
+    def test_array_bounds(self):
+        m = Model()
+        xs = [m.add_var(lb=lb, ub=5.0) for lb in [0.0, 1.0, 2.0]]
+        assert [x.lb for x in xs] == [0.0, 1.0, 2.0]
+        m.set_objective(quicksum(xs), sense="min")
+        assert m.solve().objective == pytest.approx(3.0)
+
+    def test_negative_count_rejected(self):
+        m = Model()
+        x = m.add_var()
+        # indptr [0, 1, 0] gives the second row -1 terms.
+        with pytest.raises(ModelingError, match="nondecreasing"):
+            m.add_constrs_batch([0, 1, 0], [x.index], rhs=1.0)
+
+    def test_bad_bound_shape_rejected(self):
+        m = Model()
+        xs = [m.add_var() for _ in range(3)]
+        with pytest.raises(ModelingError, match="bad rhs shape"):
+            m.add_constrs_batch(
+                [0, 1, 2, 3], [x.index for x in xs], rhs=[0.0, 1.0]
+            )
+
+    def test_lb_above_ub_rejected(self):
+        m = Model()
+        m.add_var(lb=0.0, ub=1.0)
+        with pytest.raises(ModelingError, match="lb 3.0 > ub 1.0"):
+            m.add_var(lb=3.0, ub=1.0)
+
+    def test_binary_conflicting_bounds_rejected(self):
+        m = Model()
+        m.add_var(binary=True, ub=1.0)
+        with pytest.raises(ModelingError, match="conflict with binary"):
+            m.add_var(binary=True, ub=5.0)
+
+    def test_binary_fixed_to_one_allowed(self):
+        m = Model()
+        z = m.add_var(binary=True, lb=1.0)
+        m.set_objective(z.to_expr(), sense="min")
+        assert m.solve().objective == pytest.approx(1.0)
 
 
 class TestBinaryBoundConflict:
@@ -119,6 +183,25 @@ class TestAddConstrsBatch:
         assert r.value(x) == pytest.approx(3.0)
         assert r.value(y) == pytest.approx(2.0)
 
+    def test_row_bounds_classify_range_rows(self):
+        """A box ``2 <= x <= 6`` is two one-sided rows; the sense of each
+        puts its rhs on the lower or the upper row bound."""
+        m = Model()
+        x = m.add_var(ub=10.0)
+        rows = m.add_constrs_batch(
+            [0, 1, 2], [x.index, x.index], sense=[">=", "<="],
+            rhs=[2.0, 6.0], name="box"
+        )
+        m.set_objective(x.to_expr(), sense="max")
+        assert m.solve().objective == pytest.approx(6.0)
+        compiled, _ = m._ensure_compiled()
+        inf = float("inf")
+        assert list(compiled.row_lb[rows.start:rows.stop]) == [2.0, -inf]
+        assert list(compiled.row_ub[rows.start:rows.stop]) == [inf, 6.0]
+        lo, hi = [m.constraints[i] for i in rows]
+        assert (lo.sense, lo.rhs(), hi.sense, hi.rhs()) == \
+            (">=", 2.0, "<=", 6.0)
+
     def test_returned_range_indexes_rows(self):
         m = Model()
         x = m.add_var(ub=10.0)
@@ -161,6 +244,17 @@ class TestAddConstrsBatch:
         x = m.add_var()
         with pytest.raises(ModelingError, match="needs rhs"):
             m.add_constrs_batch([0, 1], [x.index])
+
+    def test_rhs_and_row_bounds_together_rejected(self):
+        """Rows take one ``rhs`` and a sense; there is no second,
+        row-bound form to mix it with."""
+        m = Model()
+        x = m.add_var()
+        with pytest.raises(TypeError):
+            m.add_constrs_batch(
+                [0, 1], [x.index], rhs=1.0, row_ub=2.0
+            )
+        assert m.num_constraints == 0
 
     def test_mixing_scalar_and_batch_rows(self):
         m = Model()
@@ -224,6 +318,10 @@ class TestResolveWith:
         m.resolve_with({cap.row: 1.0})
         assert m.solve().objective == pytest.approx(4.0)
 
+    def test_integer_row_key(self):
+        m, _, cap = self._capped_model()
+        assert m.resolve_with({cap.row: 3.0}).objective == pytest.approx(3.0)
+
     def test_ge_and_eq_overrides(self):
         m = Model()
         x = m.add_var(ub=10.0)
@@ -235,6 +333,20 @@ class TestResolveWith:
         r = m.resolve_with({floor.row: 4.0, pin.row: 5.0})
         assert r.value(x) == pytest.approx(4.0)
         assert r.value(y) == pytest.approx(5.0)
+
+    def test_range_row_takes_tuple(self):
+        """A box is two rows, each overridden by row index with one
+        float; a ``(lo, hi)`` tuple is not a right-hand side."""
+        m = Model()
+        x = m.add_var(ub=10.0)
+        m.add_constr(x >= 1.0)
+        top = m.add_constr(x <= 6.0)
+        m.set_objective(x.to_expr(), sense="max")
+        assert m.solve().objective == pytest.approx(6.0)
+        assert m.resolve_with({top.row: 3.0}).objective == \
+            pytest.approx(3.0)
+        with pytest.raises(TypeError):
+            m.resolve_with({top.row: (None, 3.0)})
 
     def test_bound_overrides(self):
         m = Model()
@@ -282,6 +394,82 @@ class TestResolveWith:
         assert r.objective == pytest.approx(0.0)
         assert r.stats.backend == "milp"
         assert r.stats.incremental is True
+
+
+class TestRangeDualRegression:
+    """A box ``lo <= expr <= hi`` is posted as a ``>=`` and a ``<=`` row.
+    The binding side carries the marginal, signed as a one-sided row's
+    dual is; the slack side reports zero."""
+
+    @staticmethod
+    def _box(m, expr, lo, hi):
+        return m.add_constr(expr >= lo), m.add_constr(expr <= hi)
+
+    def test_range_binding_above_has_nonzero_dual(self):
+        m = Model()
+        x = m.add_var(ub=100.0)
+        below, above = self._box(m, x, 0.0, 5.0)
+        m.set_objective(2.0 * x, sense="max")
+        r = m.solve()
+        assert r.objective == pytest.approx(10.0)
+        # Raising the upper side by 1 gains 2.0: dual must be 2, not 0.
+        assert r.duals[above.row] == pytest.approx(2.0)
+        assert r.duals[below.row] == pytest.approx(0.0)
+
+    def test_range_binding_below_min(self):
+        m = Model()
+        x = m.add_var(ub=100.0)
+        below, above = self._box(m, x, 3.0, 8.0)
+        m.set_objective(4.0 * x, sense="min")
+        r = m.solve()
+        assert r.objective == pytest.approx(12.0)
+        # For a min problem, tightening the binding lower side by 1
+        # raises the optimum by 4.
+        assert r.duals[below.row] == pytest.approx(4.0)
+        assert r.duals[above.row] == pytest.approx(0.0)
+
+    def test_range_dual_consistent_with_one_sided_row(self):
+        def build(ranged: bool):
+            m = Model()
+            x = m.add_var(ub=100.0)
+            y = m.add_var(ub=100.0)
+            if ranged:
+                _, con = self._box(m, x + y, -1000.0, 7.0)
+            else:
+                con = m.add_constr(x + y <= 7.0)
+            m.add_constr(x <= 5.0)
+            m.set_objective(3.0 * x + 1.0 * y, sense="max")
+            return m.solve(), con
+
+        ranged, rcon = build(True)
+        plain, pcon = build(False)
+        assert ranged.objective == pytest.approx(plain.objective)
+        assert ranged.duals[rcon.row] == pytest.approx(plain.duals[pcon.row])
+
+    def test_strict_interior_range_has_zero_dual(self):
+        m = Model()
+        x = m.add_var(ub=2.0)
+        below, above = self._box(m, x, -50.0, 50.0)
+        m.set_objective(x.to_expr(), sense="max")
+        r = m.solve()
+        assert r.objective == pytest.approx(2.0)
+        assert r.duals[below.row] == pytest.approx(0.0)
+        assert r.duals[above.row] == pytest.approx(0.0)
+
+    def test_dual_lp_strong_duality_with_ranges(self):
+        # max c'x s.t. lo <= Ax <= hi: at the optimum, objective ==
+        # sum over binding rows of dual * active bound (all var bounds
+        # slack here), a direct consequence of strong duality.
+        m = Model()
+        x = m.add_var(ub=1000.0)
+        y = m.add_var(ub=1000.0)
+        r1 = self._box(m, x + y, 1.0, 10.0)
+        r2 = self._box(m, x - y, -4.0, 4.0)
+        m.set_objective(2.0 * x + y, sense="max")
+        r = m.solve()
+        assert r.status == SolveStatus.OPTIMAL
+        total = sum(r.duals[con.row] * con.rhs() for con in r1 + r2)
+        assert total == pytest.approx(r.objective)
 
 
 class TestSolveStats:

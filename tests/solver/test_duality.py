@@ -151,7 +151,7 @@ class TestValidation:
         with pytest.raises(ModelingError):
             inner.embed_kkt()
 
-    def test_add_rows_after_embed_rejected(self):
+    def test_add_constr_after_embed_rejected(self):
         host = Model()
         inner = InnerLP(host, "i", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=1.0)
@@ -221,7 +221,7 @@ class TestAddRows:
         u = host.add_var(binary=True, name="u")
         return host, d, u
 
-    def test_host_rows_are_the_expression_algebra_rows(self):
+    def test_same_host_model_and_kkt_data_as_add_constr(self):
         host, d, u = self._host()
         inner = InnerLP(host, "inner", sense="max")
         x = inner.add_var(obj_coef=1.0, value_bound=7.0, name="x")

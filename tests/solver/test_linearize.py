@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelingError
-from repro.solver import Model, quicksum
+from repro.solver import Model, SolveStatus, quicksum
+from repro.solver.expr import Var
 from repro.solver.linearize import indicator_geq, product_binary_bounded
 
 
@@ -116,6 +117,79 @@ class TestProduct:
         hi, lo = self._product_value(z, x, ub=9.0)
         assert hi == pytest.approx(z * x, abs=1e-6)
         assert lo == pytest.approx(z * x, abs=1e-6)
+
+
+class TestGroupHelpers:
+    """Group constraints on failure binaries. SRLG fate-sharing is one
+    binary per group (``FailureEncoding``); a count limit is one row."""
+
+    @staticmethod
+    def _encoding(members, non_failable=(), **config_kwargs):
+        from repro import RahaConfig, Srlg
+        from repro.core.encodings import FailureEncoding
+        from repro.network.builder import from_edges
+        from repro.network.srlg import attach_srlg
+        from repro.paths import PathSet
+
+        topo = from_edges([
+            ("a", "b", 10, 2), ("b", "d", 10), ("a", "c", 6), ("c", "d", 6),
+        ], failure_probability=0.1)
+        if members:
+            srlg = Srlg(name="conduit")
+            for src, dst, idx in members:
+                srlg.add(src, dst, idx)
+            attach_srlg(topo, srlg)
+        paths = PathSet.k_shortest(topo, [("a", "d")], num_primary=1,
+                                   num_backup=1)
+        config = RahaConfig(demand_bounds={("a", "d"): (0.0, 20.0)},
+                            **config_kwargs)
+        model = Model("enc")
+        return model, FailureEncoding(
+            model=model, topology=topo, paths=paths, config=config,
+            non_failable_lags=frozenset(non_failable),
+        )
+
+    MEMBERS = [("a", "b", 0), ("a", "b", 1), ("b", "d", 0), ("a", "c", 0)]
+
+    def _member_bits(self, enc):
+        return [enc.link_down[((s, d), i)] for s, d, i in self.MEMBERS]
+
+    def test_force_all_or_none(self):
+        m, enc = self._encoding(self.MEMBERS)
+        bits = self._member_bits(enc)
+        m.add_constr(bits[0].to_expr() == 1)
+        m.set_objective(quicksum(bits), sense="min")
+        r = m.solve().require_ok()
+        assert r.values(bits) == pytest.approx([1, 1, 1, 1])
+
+    def test_force_all_or_none_zero(self):
+        m, enc = self._encoding(self.MEMBERS)
+        bits = self._member_bits(enc)
+        m.add_constr(bits[2].to_expr() == 0)
+        m.set_objective(quicksum(bits), sense="max")
+        assert m.solve().objective == pytest.approx(0.0)
+
+    def test_force_single_is_noop(self):
+        # The group's other member cannot fail, so one binary is left.
+        banned = [("a", "b")]
+        alone, enc = self._encoding([("a", "b", 0), ("a", "c", 0)], banned)
+        plain, _ = self._encoding([], banned)
+        assert isinstance(enc.link_down[(("a", "c"), 0)], Var)
+        assert alone.num_constraints == plain.num_constraints
+        assert alone.num_vars == plain.num_vars
+
+    def test_exactly_one(self):
+        m, enc = self._encoding([], max_failures=1)
+        bits = [u for u in enc.link_down.values() if isinstance(u, Var)]
+        assert len(bits) == 5
+        m.set_objective(quicksum(bits), sense="max")
+        assert m.solve().objective == pytest.approx(1.0)
+
+    def test_exactly_one_empty_rejected(self):
+        m = Model()
+        m.add_var(binary=True)
+        m.add_constr(quicksum([]) == 1)
+        assert m.solve().status is SolveStatus.INFEASIBLE
 
 
 class TestDegenerateIndicatorPaths:

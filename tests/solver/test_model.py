@@ -157,6 +157,18 @@ class TestMILP:
 
 
 class TestModelApi:
+    def test_add_vars_dict(self):
+        """A keyed family of variables is one ``add_var`` per key: the
+        columns follow key order and keep their names and bounds."""
+        m = Model()
+        d = {k: m.add_var(ub=2.0, name=f"f[{k}]") for k in ["a", "b", "c"]}
+        assert set(d) == {"a", "b", "c"}
+        assert d["b"].name == "f[b]"
+        assert [v.index for v in d.values()] == [0, 1, 2]
+        assert all(v.ub == 2.0 for v in d.values())
+        assert [m.variables[i].name for i in range(3)] == \
+            ["f[a]", "f[b]", "f[c]"]
+
     def test_is_mip_flag(self):
         m = Model()
         assert not m.is_mip
