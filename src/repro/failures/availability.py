@@ -44,12 +44,18 @@ benchmarks and :func:`repro.failures.montecarlo.estimate_availability`
     per-scenario entries, and is written once the round is solved, so
     caches from before round entries still hit and gain them.
 
-  Without a cache no key is computed.  Fresh entries are written
-  behind the solves (:meth:`ResultCache.writer`), handed to the writer
-  thread one chunk at a time (a round's entry with its last chunk),
-  and are all on disk when the estimate returns.  A replayed round
-  finds no scenario's failed links; only rows it cannot answer, and
-  the worst, are turned into positions.
+  An entry counts as a miss unless each value it is read for is a JSON
+  number (an int or a float, not a bool): a well-formed entry the
+  engine did not write -- a footer-less hand edit, say -- falls back
+  like a torn one.  Without a cache no key is computed.  Fresh entries
+  are written behind the solves (:meth:`ResultCache.writer`), handed
+  to the writer thread one chunk at a time (a round's entry with its
+  last chunk), and are all on disk when the estimate returns.  Every
+  round becomes one float64 vector of delivered flows in draw order,
+  and the estimate is computed from their concatenation: a replayed
+  round fills its vector straight from its entry and finds no
+  scenario's failed links; only rows it cannot answer, and the worst,
+  are turned into positions.
 * **Campaign plans** -- what depends on ``(topology, demands, paths)``
   alone is built once per process and instance, not once per
   campaign: the instance documents, their key and the healthy-flow
@@ -166,50 +172,37 @@ class ScenarioSampler:
         #: ``(lag_key, link_index)`` per column of the failure matrix,
         #: in LAG/link order -- the canonical link enumeration.
         self.links: list[tuple] = []
-        link_group_col: list[int] = []
-        link_can_fail: list[bool] = []
-        indep_col: list[int] = []
+        # Per link, the column of ``draws < thresholds`` it copies: its
+        # SRLG's draw, its own independent draw, or -1 -- the constant
+        # never-fails column :meth:`sample` appends after the last draw.
+        source: list[int] = []
         indep_ps: list[float] = []
         for lag in topology.lags:
             for i, link in enumerate(lag.links):
                 self.links.append((lag.key, i))
                 can_fail = bool(link.can_fail)
-                link_can_fail.append(can_fail)
                 gid = grouped.get((lag.key, i))
                 if gid is not None:
-                    link_group_col.append(gid_to_col[gid])
-                    indep_col.append(-1)
+                    # A protected member still shares its group's draw,
+                    # but never fails with it.
+                    source.append(gid_to_col[gid] if can_fail else -1)
                     continue
-                link_group_col.append(-1)
                 p = link.failure_probability
-                if p is None:
-                    if can_fail:
-                        raise TopologyError(
-                            f"link {i} of LAG {lag.key} has no failure "
-                            f"probability"
-                        )
-                    indep_col.append(-1)
-                    continue
-                if not can_fail:
+                if p is None and can_fail:
+                    raise TopologyError(
+                        f"link {i} of LAG {lag.key} has no failure "
+                        f"probability"
+                    )
+                if p is None or not can_fail:
                     # The scalar draw short-circuits before drawing for
                     # a protected link, so no column here either.
-                    indep_col.append(-1)
+                    source.append(-1)
                     continue
-                indep_col.append(len(indep_ps))
+                source.append(len(group_ps) + len(indep_ps))
                 indep_ps.append(float(p))
 
-        self._group_ps = np.asarray(group_ps, dtype=float)
-        self._indep_ps = np.asarray(indep_ps, dtype=float)
-        self._num_groups = len(group_ps)
-        self._num_indep = len(indep_ps)
-        self._link_group_col = np.asarray(link_group_col, dtype=np.intp)
-        self._link_can_fail = np.asarray(link_can_fail, dtype=bool)
-        self._indep_col = np.asarray(indep_col, dtype=np.intp)
-        #: Matrix columns a group draw can fail (grouped AND failable).
-        self._grouped_cols = np.nonzero(
-            (self._link_group_col >= 0) & self._link_can_fail
-        )[0]
-        self._indep_cols = np.nonzero(self._indep_col >= 0)[0]
+        self._thresholds = np.asarray(group_ps + indep_ps, dtype=float)
+        self._source = np.asarray(source, dtype=np.intp)
 
         # scenario_doc order: the failed links of any row, taken in
         # this column order, are already its sorted ``[u, v, link]``
@@ -228,19 +221,11 @@ class ScenarioSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """An ``(n, num_links)`` boolean failure matrix for ``n`` draws."""
-        draws = rng.random((n, self._num_groups + self._num_indep))
-        fail = np.zeros((n, self.num_links), dtype=bool)
-        if self._num_groups and self._grouped_cols.size:
-            group_fail = draws[:, : self._num_groups] < self._group_ps
-            fail[:, self._grouped_cols] = group_fail[
-                :, self._link_group_col[self._grouped_cols]
-            ]
-        if self._num_indep:
-            indep_fail = draws[:, self._num_groups:] < self._indep_ps
-            fail[:, self._indep_cols] = indep_fail[
-                :, self._indep_col[self._indep_cols]
-            ]
-        return fail
+        draws = rng.random((n, self._thresholds.size))
+        fails = np.empty((n, self._thresholds.size + 1), dtype=bool)
+        np.less(draws, self._thresholds, out=fails[:, :-1])
+        fails[:, -1] = False
+        return fails[:, self._source]
 
     def scenario_for(self, row: np.ndarray) -> FailureScenario:
         """The :class:`FailureScenario` a failure-matrix row encodes."""
@@ -403,15 +388,15 @@ def availability_task(payload: dict) -> dict:
     }
 
 
-def _ci_width(degradations: list[float], healthy_flow: float,
+def _ci_width(degradations: np.ndarray, healthy_flow: float,
               z: float) -> float | None:
     """Width of the normal-approximation CI on mean availability."""
-    n = len(degradations)
+    n = degradations.size
     if n < 2:
         return None
     if healthy_flow <= 0:
         return 0.0
-    avail = (healthy_flow - np.asarray(degradations)) / healthy_flow
+    avail = (healthy_flow - degradations) / healthy_flow
     std = float(avail.std(ddof=1))
     return 2.0 * z * std / math.sqrt(n)
 
@@ -661,9 +646,9 @@ def _healthy_flow(plan: _CampaignPlan, topology, demands, paths,
     no plan; the plan only spares a miss its solve.
     """
     if cache is not None:
-        hit = cache.get(plan.healthy_key)
+        hit = _entry_number(cache.get(plan.healthy_key), "healthy_flow")
         if hit is not None:
-            return float(hit["healthy_flow"])
+            return hit
     if plan.healthy_flow is None:
         plan.healthy_flow = TotalFlowTE(primary_only=True).solve(
             topology, demands, paths).total_flow
@@ -689,18 +674,37 @@ def round_cache_key(instance_key: str, blob: bytes, columns: int) -> str:
     })
 
 
-def _round_replay(hit, batch: int) -> list[float] | None:
+#: What a JSON number decodes to: ``bool`` is an ``int`` subclass, but
+#: ``true`` is not a flow.
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _numbers(values: list) -> np.ndarray | None:
+    """``values`` as float64, or ``None`` unless every one is a JSON
+    number that a double holds (``np.array`` alone would let ``None``
+    through as NaN and ``True`` as 1.0)."""
+    if not {*map(type, values)} <= _JSON_NUMBERS:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def _entry_number(hit, field: str) -> float | None:
+    """A cache entry's ``field`` as a float, or ``None`` -- a miss --
+    unless the entry is an object holding a JSON number there."""
+    value = _numbers([hit.get(field)]) if isinstance(hit, dict) else None
+    return None if value is None else float(value[0])
+
+
+def _round_replay(hit, batch: int) -> np.ndarray | None:
     """A round entry's delivered flows, or ``None`` unless it holds one
-    per sample of the round."""
+    JSON number per sample of the round."""
     delivered = hit.get("delivered") if isinstance(hit, dict) else None
     if not isinstance(delivered, list) or len(delivered) != batch:
         return None
-    return [float(value) for value in delivered]
-
-
-def _round_document(delivered_by_row: dict, drawn: list) -> dict:
-    """A round entry: the delivered flow of each sample, in draw order."""
-    return {"delivered": [delivered_by_row[row] for row in drawn]}
+    return _numbers(delivered)
 
 
 def _estimate(topology, demands, paths, config, cache, runner_config,
@@ -740,152 +744,138 @@ def _campaign(plan: _CampaignPlan, reused: bool, topology, demands, paths,
         evaluator = _ChunkEvaluator(plan, workers, runner_config, tracer)
         rng = np.random.default_rng(config.seed)
 
-        # Scenarios are tracked by the bytes of their failure-matrix row
-        # (columns in scenario_doc order); per distinct row only its
-        # round's matrix and its index there are kept.  Failed positions
-        # are found only for rows a replayed round does not answer, and
-        # for the worst; misses become FailureScenarios (docs, for a
-        # worker pool), and so does the worst.
-        sample_rows: list[bytes] = []      # per sample, in draw order
-        source_by_row: dict[bytes, tuple[np.ndarray, int]] = {}
-        key_by_row: dict[bytes, str] = {}
+        # Each round becomes one vector of delivered flows in draw order.
+        # Distinct scenarios are the bytes of their failure-matrix rows
+        # (columns in scenario_doc order), with their flows once known.
+        # Failed positions are found only for rows a round entry does
+        # not answer, and for the worst; misses become FailureScenarios
+        # (docs, for a worker pool), and so does the worst.
+        matrices: list[np.ndarray] = []
+        flows: list[np.ndarray] = []
         delivered_by_row: dict[bytes, float] = {}
-        cache_hits = 0
-        round_hits = 0
-        fresh_solves = 0
-        chunks_dispatched = 0
-        rounds = 0
+        cache_hits = round_hits = fresh_solves = chunks_dispatched = 0
+        drawn = 0
         width: float | None = None
 
-        def positions(row: bytes) -> list[int]:
-            matrix, index = source_by_row[row]
-            return np.flatnonzero(matrix[index]).tolist()
-
-        while len(sample_rows) < max_samples:
-            batch = min(config.samples, max_samples - len(sample_rows))
-            rounds += 1
+        while drawn < max_samples:
+            batch = min(config.samples, max_samples - drawn)
+            drawn += batch
             with tracer.span("availability.sample", batch=batch):
                 matrix = sampler.in_doc_order(sampler.sample(rng, batch))
                 blob, size = matrix.tobytes(), matrix.shape[1]
-                drawn = [blob[index * size:(index + 1) * size]
-                         for index in range(batch)]
-                sample_rows.extend(drawn)
-                pending: list[bytes] = []
-                for index, row in enumerate(drawn):
-                    if row not in source_by_row:
-                        source_by_row[row] = (matrix, index)
-                        pending.append(row)
+                rows = np.frombuffer(blob, f"V{size}").tolist() if size \
+                    else [b""] * batch
+            matrices.append(matrix)
 
             # Persistent memoization: a round the cache holds whole is
             # replayed from its one entry; otherwise answer what we can
-            # per scenario and chunk only the misses, with their failed
-            # positions.
-            misses: list[tuple[bytes, list[int]]] = []
-            round_key = None  # set while this round's entry is unwritten
+            # per scenario and chunk only the misses.
+            round_key = replay = None
             if cache is not None:
-                key = round_cache_key(plan.instance_key, blob, size)
-                replay = _round_replay(cache.get(key), batch)
-                if replay is not None:
-                    delivered_by_row.update(zip(drawn, replay))
-                    cache_hits += len(pending)
-                    round_hits += 1
-                    pending = []
-                else:
-                    round_key = key
-            for row in pending:
-                failed = positions(row)
+                round_key = round_cache_key(plan.instance_key, blob, size)
+                replay = _round_replay(cache.get(round_key), batch)
+            if replay is not None:
+                known = len(delivered_by_row)
+                delivered_by_row.update(zip(rows, replay.tolist()))
+                cache_hits += len(delivered_by_row) - known
+                round_hits += 1
+                flows.append(replay)
+            else:
+                first_seen: dict[bytes, int] = {}
+                for index, row in enumerate(rows):
+                    if row not in delivered_by_row:
+                        first_seen.setdefault(row, index)
+                misses: list[tuple[bytes, list[int], str | None]] = []
+                for row, index in first_seen.items():
+                    failed = np.flatnonzero(matrix[index]).tolist()
+                    key = None
+                    if cache is not None:
+                        key = plan.keyer(failed)
+                        hit = _entry_number(cache.get(key), "delivered")
+                        if hit is not None:
+                            delivered_by_row[row] = hit
+                            cache_hits += 1
+                            continue
+                    misses.append((row, failed, key))
+                entries: list = []
+                chunks = [misses[i:i + config.chunk_size]
+                          for i in range(0, len(misses), config.chunk_size)]
+                if chunks:
+                    with tracer.span("availability.evaluate",
+                                     scenarios=len(misses),
+                                     chunks=len(chunks)):
+                        values = evaluator.evaluate(
+                            [[failed for _, failed, _ in chunk]
+                             for chunk in chunks],
+                            start_index=chunks_dispatched)
+                        for index, (chunk, delivered) in enumerate(
+                                zip(chunks, values, strict=True)):
+                            for (row, _, _), value in zip(chunk, delivered,
+                                                          strict=True):
+                                delivered_by_row[row] = value
+                            fresh_solves += len(chunk)
+                            if cache is not None:
+                                entries = [(key, {"delivered": value})
+                                           for (_, _, key), value
+                                           in zip(chunk, delivered)]
+                                if index < len(chunks) - 1:
+                                    write.extend(entries)
+                    chunks_dispatched += len(chunks)
+                round_flows = [delivered_by_row[row] for row in rows]
                 if cache is not None:
-                    key = plan.keyer(failed)
-                    hit = cache.get(key)
-                    if hit is not None:
-                        delivered_by_row[row] = float(hit["delivered"])
-                        cache_hits += 1
-                        continue
-                    key_by_row[row] = key
-                misses.append((row, failed))
+                    # The round's entry rides with its last chunk: one
+                    # writer wake-up for both.
+                    write.extend(
+                        entries + [(round_key, {"delivered": round_flows})])
+                flows.append(np.array(round_flows, dtype=np.float64))
 
-            if misses:
-                chunks = [
-                    misses[i:i + config.chunk_size]
-                    for i in range(0, len(misses), config.chunk_size)
-                ]
-                with tracer.span("availability.evaluate",
-                                 scenarios=len(misses),
-                                 chunks=len(chunks)):
-                    values = evaluator.evaluate(
-                        [[failed for _, failed in chunk]
-                         for chunk in chunks],
-                        start_index=chunks_dispatched,
-                    )
-                    for index, (chunk, delivered) in enumerate(
-                            zip(chunks, values, strict=True)):
-                        for (row, _), value in zip(chunk, delivered,
-                                                   strict=True):
-                            delivered_by_row[row] = value
-                        fresh_solves += len(chunk)
-                        if cache is not None:
-                            entries = [
-                                (key_by_row.pop(row), {"delivered": value})
-                                for (row, _), value in zip(chunk,
-                                                           delivered)]
-                            if index == len(chunks) - 1:
-                                # The round's entry rides with its last
-                                # chunk: one writer wake-up for both.
-                                entries.append((round_key, _round_document(
-                                    delivered_by_row, drawn)))
-                            write.extend(entries)
-                chunks_dispatched += len(chunks)
-            elif round_key is not None:
-                write(round_key, _round_document(delivered_by_row, drawn))
-
-            degradations = [
-                healthy_flow - delivered_by_row[row]
-                for row in sample_rows
-            ]
+            degradations = healthy_flow - np.concatenate(flows)
             width = _ci_width(degradations, healthy_flow, z)
             if not adaptive:
                 break
             if width is not None and width <= config.ci_width:
                 break
 
-        array = np.asarray(degradations)
+        # Every round but the last holds config.samples draws.
+        worst = int(np.argmax(degradations))
+        matrix = matrices[worst // config.samples]
         worst_scenario = sampler.scenario_at(
-            positions(sample_rows[int(np.argmax(array))]))
+            np.flatnonzero(matrix[worst % config.samples]).tolist())
         span.set(
-            total_samples=len(sample_rows),
-            distinct_scenarios=len(source_by_row),
+            total_samples=drawn,
+            distinct_scenarios=len(delivered_by_row),
             cache_hits=cache_hits,
             round_hits=round_hits,
             fresh_solves=fresh_solves,
             chunk_fallbacks=evaluator.chunk_fallbacks,
-            rounds=rounds,
+            rounds=len(flows),
         )
 
-    metrics().counter("availability.samples").inc(len(sample_rows))
-    metrics().counter("availability.distinct").inc(len(source_by_row))
+    metrics().counter("availability.samples").inc(drawn)
+    metrics().counter("availability.distinct").inc(len(delivered_by_row))
     metrics().counter("availability.cache_hits").inc(cache_hits)
     metrics().counter("availability.round_hits").inc(round_hits)
     metrics().counter("availability.fresh_solves").inc(fresh_solves)
 
     availability = (
-        float(np.mean((healthy_flow - array) / healthy_flow))
+        float(np.mean((healthy_flow - degradations) / healthy_flow))
         if healthy_flow > 0 else 1.0
     )
     return AvailabilityEstimate(
-        expected_degradation=float(array.mean()),
+        expected_degradation=float(degradations.mean()),
         availability=availability,
         exceedance_probability=float(
-            np.mean(array > config.degradation_threshold)
+            np.mean(degradations > config.degradation_threshold)
         ),
-        worst_sampled=float(array.max()),
+        worst_sampled=float(degradations.max()),
         worst_scenario=worst_scenario,
-        samples=len(sample_rows),
+        samples=drawn,
         healthy_flow=healthy_flow,
-        degradations=[float(d) for d in degradations],
-        distinct_scenarios=len(source_by_row),
+        degradations=degradations.tolist(),
+        distinct_scenarios=len(delivered_by_row),
         cache_hits=cache_hits,
         fresh_solves=fresh_solves,
         chunk_fallbacks=evaluator.chunk_fallbacks,
-        rounds=rounds,
+        rounds=len(flows),
         ci_width=width,
     )

@@ -72,6 +72,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import selectors
+import socket
 import threading
 import time
 from collections.abc import Callable
@@ -108,6 +111,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: reuse a connection for at most
 #: :data:`repro.service.client.MAX_IDLE_SECONDS`, well inside this.
 IDLE_TIMEOUT_SECONDS = 60.0
+
+#: How long :meth:`AnalysisService.stop` waits for each connection's
+#: handler to finish the reply it is writing once its read side is shut.
+HANDLER_JOIN_SECONDS = 5.0
 
 
 def expand_submission(doc: dict) -> tuple[
@@ -186,6 +193,9 @@ class AnalysisService:
         self.admission = AdmissionController(self.store, self.config)
         self.results = ResultStore(self.cache, self.store, self.config)
         self.started_at = time.time()
+        # Open HTTP connections and the handler thread serving each.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
 
     def start(self) -> None:
         """Recover, then start the worker pool and the eviction loop."""
@@ -196,10 +206,38 @@ class AnalysisService:
         """Stop workers (draining by default) and the eviction loop."""
         self.scheduler.stop(drain=drain)
         self.results.stop()
+        self._end_connections()
         # The gauge is computed where it is read; this is the final
         # read, for the closing snapshot of a traced ``serve``.
         metrics().gauge("service.queue_depth").set(self.store.depth())
         self.store.close()
+
+    def _opened(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections[connection] = threading.current_thread()
+
+    def _closed(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.pop(connection, None)
+
+    def _end_connections(self) -> None:
+        """End every open HTTP connection and join its handler thread.
+
+        A kept-alive connection's handler would otherwise wait out
+        :data:`IDLE_TIMEOUT_SECONDS` and could touch the store after it
+        is closed.  Shutting the read side lets a handler finish the
+        reply in flight, then read end-of-stream and return; the
+        scheduler has already woken any long-polling claim.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for connection, _ in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its client
+        for _, thread in connections:
+            thread.join(timeout=HANDLER_JOIN_SECONDS)
 
     # -- operations the HTTP handler maps onto -------------------------
 
@@ -578,6 +616,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
+    def setup(self) -> None:
+        super().setup()
+        self.service._opened(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.service._closed(self.connection)
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         logger.debug("%s %s", self.address_string(), format % args)
 
@@ -732,13 +780,60 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
+class _Server(ThreadingHTTPServer):
+    """The service's HTTP server; ``shutdown()`` returns at once.
+
+    The stdlib loop notices a shutdown only at its next ``select`` tick
+    (0.5 s by default).  This loop also selects on a pipe that
+    :meth:`shutdown` writes to, so it wakes as soon as it is asked to
+    stop and never wakes while idle.  Handler threads are daemons;
+    :meth:`AnalysisService.stop` ends their connections and joins them.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._wake_read, self._wake_write = os.pipe()
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_read, selectors.EVENT_READ)
+                while not self._stopping:
+                    ready = selector.select(poll_interval)
+                    if self._stopping:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            os.read(self._wake_read, 512)
+                    self.service_actions()
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stopping = True
+        os.write(self._wake_write, b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        os.close(self._wake_read)
+        os.close(self._wake_write)
+
+
 def make_server(service: AnalysisService) -> ThreadingHTTPServer:
     """Bind the HTTP server for a service (``port=0`` = ephemeral)."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer(
-        (service.config.host, service.config.port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((service.config.host, service.config.port), handler)
 
 
 def write_state_file(service: AnalysisService,
@@ -748,8 +843,6 @@ def write_state_file(service: AnalysisService,
     Written *after* the bind so ``port=0`` users (tests, smoke CI) can
     discover the ephemeral port by polling for this file.
     """
-    import os
-
     host, port = server.server_address[0], server.server_address[1]
     state = {"host": host, "port": int(port), "pid": os.getpid(),
              "url": f"http://{host}:{port}"}
@@ -788,4 +881,5 @@ def serve_forever(service: AnalysisService,
             signal.signal(signum, handler)
         server.shutdown()
         thread.join(timeout=5.0)
+        server.server_close()
         service.stop(drain=True)

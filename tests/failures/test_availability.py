@@ -8,6 +8,7 @@ never a single float.
 """
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -66,6 +67,48 @@ def paths(diamond):
 DEMANDS = {("a", "d"): 12.0}
 
 
+def multi_lag_topology(seed: int):
+    """A generated WAN of multi-link LAGs whose SRLGs span them.
+
+    Every kind of link the sampler tells apart appears several times:
+    grouped members (some protected), independent links (some
+    protected), protected links with no probability, and members of
+    an SRLG without a group probability, which draw on their own.
+    """
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(9)]
+    edges = [(u, v, 10, rng.randint(1, 4))
+             for i, u in enumerate(nodes)
+             for v in nodes[i + 1:] if rng.random() < 0.4]
+    topology = from_edges(edges)
+    position = 0
+    for lag in topology.lags:
+        links = []
+        for _ in lag.links:
+            p = rng.uniform(0.05, 0.5)
+            if position % 6 == 0:
+                links.append(Link(capacity=5, can_fail=False))
+            elif position % 6 == 1:
+                links.append(Link(capacity=5, failure_probability=p,
+                                  can_fail=False))
+            else:
+                links.append(Link(capacity=5, failure_probability=p))
+            position += 1
+        lag.links = links
+    multi = [lag for lag in topology.lags if lag.num_links > 1]
+    every = [(lag.key, i) for lag in topology.lags
+             for i in range(lag.num_links)]
+    for g in range(4):
+        members = [(multi[g].key, i) for i in range(multi[g].num_links)]
+        members += [m for m in rng.sample(every, 2) if m not in members]
+        srlg = Srlg(name=f"conduit{g}", failure_probability=(
+            None if g == 3 else rng.uniform(0.05, 0.4)))
+        for key, i in members:
+            srlg.add(*key, i)
+        attach_srlg(topology, srlg)
+    return topology
+
+
 def config(**overrides):
     base = dict(samples=80, seed=11, degradation_threshold=1.0,
                 num_workers=1, chunk_size=8)
@@ -82,6 +125,30 @@ class TestScenarioSampler:
         for row in matrix:
             assert sample_scenario(grouped, rng_serial) == \
                 sampler.scenario_for(row)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_replays_the_serial_stream_on_a_multi_lag_wan(self, seed):
+        topology = multi_lag_topology(seed)
+        kinds = {(lag.key, i): link for lag in topology.lags
+                 for i, link in enumerate(lag.links)}
+        grouped = {member for srlg in topology.srlgs[:3]
+                   for member in srlg.members}
+        assert any(not kinds[m].can_fail for m in grouped)
+        independent = [kinds[m] for m in kinds if m not in grouped]
+        assert any(not link.can_fail and link.failure_probability
+                   for link in independent)
+        assert any(link.failure_probability is None for link in independent)
+        rng_serial = np.random.default_rng(seed)
+        rng_vec = np.random.default_rng(seed)
+        sampler = ScenarioSampler(topology)
+        matrix = sampler.sample(rng_vec, 400)
+        assert matrix.shape == (400, len(kinds))
+        assert matrix.any(axis=0).sum() > len(kinds) // 2
+        for row in matrix:
+            assert sample_scenario(topology, rng_serial) == \
+                sampler.scenario_for(row)
+        # Both consumed the same number of draws.
+        assert rng_vec.random() == rng_serial.random()
 
     def test_replays_the_stream_without_srlgs(self, diamond):
         rng_serial = np.random.default_rng(9)

@@ -10,6 +10,7 @@ field for field, and a fall-back to that path whenever the round entry
 is missing, torn or the wrong shape.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -86,6 +87,13 @@ def round_entry_paths(root):
         path for path in root.glob("*.json")
         if isinstance(json.loads(path.read_text().partition("\n")[0])
                       ["result"].get("delivered"), list))
+
+
+def write_footerless(cache, key, result):
+    """An entry as a hand edit leaves it: one JSON line, no footer, so
+    ResultCache.get serves it as it stands."""
+    cache.path_for(key).write_text(
+        json.dumps({"key": key, "result": result}) + "\n")
 
 
 @pytest.fixture
@@ -201,6 +209,28 @@ class TestReplayEquality:
             sorted(p.name for p in whole.glob("*.json"))
 
 
+class TestWarmEqualsCold:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("width", [0.12, 0.01],
+                             ids=["stops-at-3", "runs-out"])
+    def test_a_warm_adaptive_rerun_equals_its_cold_run(
+            self, instance, tmp_path, workers, width):
+        adaptive = config(num_workers=workers, ci_width=width,
+                          max_samples=4 * SAMPLES)
+        cold = estimate_availability_parallel(*instance, adaptive,
+                                              cache=tmp_path)
+        warm = estimate_availability_parallel(*instance, adaptive,
+                                              cache=tmp_path)
+        assert cold.rounds == (3 if width == 0.12 else 4)
+        for field in ("degradations", "worst_scenario",
+                      "distinct_scenarios", "rounds", "ci_width",
+                      "availability", "exceedance_probability"):
+            assert getattr(warm, field) == getattr(cold, field), field
+        assert warm.fresh_solves == 0
+        assert warm == dataclasses.replace(
+            cold, cache_hits=warm.cache_hits, fresh_solves=0)
+
+
 class TestFallback:
     @pytest.fixture
     def reference(self, instance, tmp_path):
@@ -244,6 +274,76 @@ class TestFallback:
         assert warm.fresh_solves == 0
         # Rewritten whole by the per-scenario path.
         assert len(cache.get(key)["delivered"]) == SAMPLES
+
+
+class TestEntriesTheEngineDidNotWrite:
+    """Well-formed entries without a footer are served as they stand; a
+    value the engine could not have written is a miss, not a crash."""
+
+    @pytest.fixture
+    def reference(self, instance, tmp_path):
+        cache = tmp_path / "reference"
+        estimate_availability_parallel(*instance, config(), cache=cache)
+        return estimate_availability_parallel(*instance, config(),
+                                              cache=cache)
+
+    @pytest.mark.parametrize("bad", [None, True, "12.0", [1.0]],
+                             ids=["null", "true", "string", "list"])
+    def test_a_round_entry_holding_a_non_number_falls_back_per_scenario(
+            self, instance, tmp_path, reference, gets, bad):
+        [key] = round_keys(*instance)
+        cache = ResultCache(tmp_path / "edited")
+        cold = estimate_availability_parallel(*instance, config(),
+                                              cache=cache)
+        flows = cache.get(key)["delivered"]
+        write_footerless(cache, key, {"delivered": flows[:7] + [bad]
+                                      + flows[8:]})
+        del gets[:]
+        warm = estimate_availability_parallel(*instance, config(),
+                                              cache=cache)
+        assert warm == reference
+        assert warm.fresh_solves == 0
+        assert len(gets) == 2 + cold.distinct_scenarios
+        # Rewritten whole by the per-scenario path.
+        assert cache.get(key)["delivered"] == flows
+
+    @pytest.mark.parametrize("entry", [
+        [1.0], {}, {"delivered": None}, {"delivered": False},
+        {"delivered": "3"}, {"delivered": 10 ** 400},
+    ], ids=["not-an-object", "no-field", "null", "bool", "string",
+            "too-big"])
+    def test_a_scenario_entry_holding_a_non_number_is_solved_afresh(
+            self, instance, tmp_path, reference, entry):
+        cache = ResultCache(tmp_path / "edited")
+        estimate_availability_parallel(*instance, config(), cache=cache)
+        [key] = round_keys(*instance)
+        cache.path_for(key).unlink()
+        scenario_key = scenario_cache_key(
+            instance_key_of(*instance), scenario_doc(reference.worst_scenario))
+        solved = cache.get(scenario_key)
+        write_footerless(cache, scenario_key, entry)
+        warm = estimate_availability_parallel(*instance, config(),
+                                              cache=cache)
+        assert warm == dataclasses.replace(
+            reference, cache_hits=reference.cache_hits - 1, fresh_solves=1)
+        assert cache.get(scenario_key) == solved
+
+    @pytest.mark.parametrize("entry", [
+        None, {"flow": 1.0}, {"healthy_flow": None},
+        {"healthy_flow": True}, {"healthy_flow": "12.0"},
+    ], ids=["null", "no-field", "null-field", "bool", "string"])
+    def test_a_healthy_entry_holding_a_non_number_is_rewritten(
+            self, instance, tmp_path, reference, entry):
+        cache = ResultCache(tmp_path / "edited")
+        estimate_availability_parallel(*instance, config(), cache=cache)
+        healthy_key = job_key({"task": "availability.healthy",
+                               "instance": instance_key_of(*instance)})
+        write_footerless(cache, healthy_key, entry)
+        warm = estimate_availability_parallel(*instance, config(),
+                                              cache=cache)
+        assert warm == reference
+        assert cache.get(healthy_key) == {
+            "healthy_flow": reference.healthy_flow}
 
 
 def test_reference_keyed_cache_is_fully_hit_and_gains_round_entries(

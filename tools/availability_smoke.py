@@ -11,16 +11,23 @@ times:
    sampled round, and a warm in-process re-run at another threshold
    that does zero fresh solves and reads only the healthy flow and the
    round entries;
-2. under a hostile fault plan -- worker chunks fail wholesale
+2. adaptive (``ci_width``) in-process against a cold persistent cache,
+   then warm, asserting the warm re-run equals the cold one on every
+   field an estimate reports; then with one round entry hand-edited
+   (one flow set to ``null``, the checksum footer dropped, as an
+   operator's edit leaves it), asserting the campaign falls back to
+   the per-scenario entries, solves nothing, still equals the cold
+   run and writes the round entry back whole;
+3. under a hostile fault plan -- worker chunks fail wholesale
    (``availability.chunk``) and first-attempt workers crash
    (``worker.crash``) -- asserting the estimate stays *bit-identical*:
    chunk fallbacks and retries re-run the same resolver on the same
    scenarios, so they may change wall-clock but never a float;
-3. with ``resolver.resolve`` faults on top, asserting the estimate
+4. with ``resolver.resolve`` faults on top, asserting the estimate
    stays *value-equal* (the resolver's fresh-solve fallback reaches the
    same optimum along a different arithmetic path, so only approximate
    equality is the contract -- same as the resilience suite);
-4. through the ``python -m repro availability`` CLI verb with the
+5. through the ``python -m repro availability`` CLI verb with the
    bit-identity chaos plan, a JSONL trace, and a cold persistent cache,
    then once more warm at another threshold, asserting the warm run
    does zero fresh solves.
@@ -55,6 +62,13 @@ SEED = 7
 THRESHOLD = 1.0
 #: The warm re-runs' threshold: a re-sweep reads the same entries.
 WARM_THRESHOLD = 1000.0
+#: The adaptive campaign's CI target: reached after a few rounds.
+CI_WIDTH = 0.03
+#: Every field of an estimate a warm re-run must reproduce.
+ESTIMATE_FIELDS = ("degradations", "expected_degradation", "availability",
+                   "exceedance_probability", "worst_sampled",
+                   "worst_scenario", "samples", "healthy_flow",
+                   "distinct_scenarios", "rounds", "ci_width")
 
 
 class _CountingCache(ResultCache):
@@ -130,6 +144,67 @@ def _close_estimate(a, b, rel=1e-6) -> bool:
             and abs(a.availability - b.availability) <= rel)
 
 
+def _differing(a, b) -> list[str]:
+    return [name for name in ESTIMATE_FIELDS
+            if getattr(a, name) != getattr(b, name)]
+
+
+def _round_entries(root: Path) -> dict[str, list]:
+    """Each round entry's flows, by key (the entries holding a list)."""
+    entries = {}
+    for path in sorted(root.glob("*.json")):
+        result = json.loads(path.read_text().partition("\n")[0])["result"]
+        if isinstance(result, dict) and \
+                isinstance(result.get("delivered"), list):
+            entries[path.stem] = result["delivered"]
+    return entries
+
+
+def _adaptive_and_hand_edited(topology, demands, paths,
+                              in_process) -> str | None:
+    """Check 2: a diagnostic, or ``None`` when it passes."""
+    adaptive = dataclasses.replace(in_process, ci_width=CI_WIDTH,
+                                   max_samples=8 * SAMPLES)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cold = estimate_availability_parallel(topology, demands, paths,
+                                              adaptive, cache=tmp)
+        if not 1 < cold.rounds < 8:
+            return (f"adaptive campaign took {cold.rounds} round(s); "
+                    "the CI target no longer stops it between rounds")
+        warm = estimate_availability_parallel(topology, demands, paths,
+                                              adaptive, cache=tmp)
+        if warm.fresh_solves != 0 or _differing(warm, cold):
+            return ("warm adaptive re-run differs from its cold run in "
+                    f"{_differing(warm, cold)} after "
+                    f"{warm.fresh_solves} fresh solves")
+        entries = _round_entries(root)
+        if len(entries) != cold.rounds:
+            return (f"adaptive campaign left {len(entries)} round "
+                    f"entries for {cold.rounds} round(s)")
+        key, flows = next(iter(entries.items()))
+        edited = flows[:3] + [None] + flows[4:]
+        (root / f"{key}.json").write_text(json.dumps(
+            {"key": key, "result": {"delivered": edited}}) + "\n")
+        cache = _CountingCache(tmp)
+        again = estimate_availability_parallel(topology, demands, paths,
+                                               adaptive, cache=cache)
+        if again.fresh_solves != 0 or _differing(again, cold):
+            return ("a hand-edited round entry changed the estimate in "
+                    f"{_differing(again, cold)} after "
+                    f"{again.fresh_solves} fresh solves")
+        if cache.reads <= cold.rounds + 1:
+            return ("a hand-edited round entry was replayed, not read "
+                    "per scenario")
+        if ResultCache(tmp).get(key) != {"delivered": flows} or \
+                len((root / f"{key}.json").read_text().splitlines()) != 2:
+            return "the hand-edited round entry was not written back"
+    print(f"adaptive: warm re-run equals the cold run over {cold.rounds} "
+          "rounds; a hand-edited round entry fell back per scenario "
+          f"({cache.reads} reads) and was rewritten")
+    return None
+
+
 def main() -> int:
     topology, demands, paths = _campaign()
     config = MonteCarloConfig(samples=SAMPLES, seed=SEED,
@@ -171,6 +246,11 @@ def main() -> int:
             return _fail("warm in-process run diverged from the cold run")
     print(f"in-process: estimate bit-identical, {entries} cache entries, "
           f"warm re-run solved nothing and read {cache.reads}")
+
+    failure = _adaptive_and_hand_edited(topology, demands, paths,
+                                        in_process)
+    if failure:
+        return _fail(failure)
 
     chaotic = estimate_availability_parallel(topology, demands, paths,
                                              config, chaos=CHAOS)
